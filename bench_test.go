@@ -413,113 +413,7 @@ func BenchmarkMemcachedSteadyState(b *testing.B) {
 	}
 }
 
-// --- sharded simulation: the same 4x4 memcached run unsharded, sharded but
-// executed one part at a time, and sharded with all parts concurrent. The
-// serial/parallel pair shares one build shape, so the wall-clock ratio is the
-// intra-run parallel speedup; the unsharded row anchors it to the classic
-// single-machine simulator.
-
-// buildShardedMemcached4x4 builds the paper topology split into one shard per
-// socket, in the requested execution mode.
-func buildShardedMemcached4x4(tb testing.TB, sequential bool) core.Runnable {
-	tb.Helper()
-	opts := topo(4, 4)
-	opts["parallel-shards"] = "4"
-	inst, err := workload.Build("memcached", opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	inst.(*core.ShardSet).SetSequential(sequential)
-	return inst
-}
-
-func benchShardedMemcached(b *testing.B, sequential bool) {
-	for i := 0; i < b.N; i++ {
-		inst := buildShardedMemcached4x4(b, sequential)
-		r := inst.Run(250_000, 1_500_000)
-		b.ReportMetric(r.Values["throughput"], "sim_tput")
-	}
-}
-
-func BenchmarkShardedMemcached4x4Serial(b *testing.B)   { benchShardedMemcached(b, true) }
-func BenchmarkShardedMemcached4x4Parallel(b *testing.B) { benchShardedMemcached(b, false) }
-func BenchmarkShardedMemcached4x4Unsharded(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		inst := workload.MustBuild("memcached", topo(4, 4))
-		r := inst.Run(250_000, 1_500_000)
-		b.ReportMetric(r.Values["throughput"], "sim_tput")
-	}
-}
-
 // --- machine-readable bench results ---
-
-// benchArtifact is the schema of a BENCH_*.json file: one benchmark family,
-// wall-clock seconds per variant, and the shared benchmeta provenance block
-// tying a checked-in artifact to the commit, time, and host that produced it.
-type benchArtifact struct {
-	Benchmark string `json:"benchmark"`
-	benchmeta.Provenance
-	Iterations   int                `json:"iterations"`
-	WarmupCycles uint64             `json:"warmup_cycles"`
-	MeasureCycle uint64             `json:"measure_cycles"`
-	Shards       int                `json:"shards"`
-	WallSeconds  map[string]float64 `json:"wall_seconds"`
-	Speedups     map[string]float64 `json:"speedups"`
-}
-
-// TestWriteShardBenchArtifact measures the sharded-memcached family and
-// writes BENCH_shard_parallel.json at the repo root. It is the bench-harness
-// entry point CI and release runs use to track the perf trajectory across
-// commits; ordinary test runs skip it. Enable with:
-//
-//	DPROF_BENCH_JSON=1 go test -run TestWriteShardBenchArtifact -count=1 .
-func TestWriteShardBenchArtifact(t *testing.T) {
-	if os.Getenv("DPROF_BENCH_JSON") == "" {
-		t.Skip("set DPROF_BENCH_JSON=1 to measure and write BENCH_shard_parallel.json")
-	}
-	const warmup, measure = 250_000, 1_500_000
-	const iters = 3
-	timeRun := func(build func() core.Runnable) float64 {
-		best := math.Inf(1) // min-of-N: the least-disturbed measurement
-		for i := 0; i < iters; i++ {
-			inst := build()
-			start := time.Now()
-			inst.Run(warmup, measure)
-			if s := time.Since(start).Seconds(); s < best {
-				best = s
-			}
-		}
-		return best
-	}
-	wall := map[string]float64{
-		"unsharded": timeRun(func() core.Runnable {
-			return workload.MustBuild("memcached", topo(4, 4))
-		}),
-		"sharded_serial": timeRun(func() core.Runnable {
-			return buildShardedMemcached4x4(t, true)
-		}),
-		"sharded_parallel": timeRun(func() core.Runnable {
-			return buildShardedMemcached4x4(t, false)
-		}),
-	}
-	art := benchArtifact{
-		Benchmark:    "memcached-4x4-sharded",
-		Provenance:   benchmeta.Collect(),
-		Iterations:   iters,
-		WarmupCycles: warmup,
-		MeasureCycle: measure,
-		Shards:       4,
-		WallSeconds:  wall,
-		Speedups: map[string]float64{
-			"parallel_vs_serial":    wall["sharded_serial"] / wall["sharded_parallel"],
-			"parallel_vs_unsharded": wall["unsharded"] / wall["sharded_parallel"],
-		},
-	}
-	if err := benchmeta.Write("BENCH_shard_parallel.json", art); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("parallel vs serial on %d CPUs: %.2fx", art.HostCPUs, art.Speedups["parallel_vs_serial"])
-}
 
 // warmstartArtifact is the BENCH_warmstart.json schema: wall clock cold vs
 // warm-start fork mode for two shapes. The engine suite measures the paper
@@ -639,7 +533,7 @@ func TestWriteWarmstartBenchArtifact(t *testing.T) {
 // three serving regimes — cold single replica (every distinct key simulates
 // once), warm restart (same store directory, zero simulation work), and a
 // three-replica consistent-hash fleet — and writes BENCH_dprofd_load.json at
-// the repo root. Like TestWriteShardBenchArtifact, it is the bench-harness
+// the repo root. Like TestWriteWarmstartBenchArtifact, it is the bench-harness
 // entry point; ordinary test runs skip it. Enable with:
 //
 //	DPROF_BENCH_JSON=1 go test -run TestWriteDprofdLoadBenchArtifact -count=1 .
@@ -863,18 +757,10 @@ func TestWriteHotpathBenchArtifact(t *testing.T) {
 	// included — both phases exercise the same hot path) divided into the
 	// run's wall clock.
 	countAccesses := func(inst core.Runnable) uint64 {
-		machines := []*sim.Machine{inst.Machine()}
-		if set, ok := inst.(*core.ShardSet); ok {
-			machines = machines[:0]
-			for _, p := range set.Parts() {
-				machines = append(machines, p.Machine())
-			}
-		}
+		m := inst.Machine()
 		var n uint64
-		for _, m := range machines {
-			for i := 0; i < m.NumCores(); i++ {
-				n += m.Core(i).Retired()
-			}
+		for i := 0; i < m.NumCores(); i++ {
+			n += m.Core(i).Retired()
 		}
 		return n
 	}
@@ -916,9 +802,6 @@ func TestWriteHotpathBenchArtifact(t *testing.T) {
 		"memcached_4x4_profiled": scenario(func() core.Runnable {
 			return workload.MustBuild("memcached", topo(4, 4))
 		}, true),
-		"memcached_4x4_sharded": scenario(func() core.Runnable {
-			return buildShardedMemcached4x4(t, false)
-		}, false),
 	}
 
 	// Cold-phase loadgen throughput: a fresh server, every distinct key

@@ -177,7 +177,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dprof: %v\n", err)
 		return 2
 	}
-	inst, err := workload.BuildInstance(w, cfg)
+	inst, err := w.Build(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "dprof: building %s: %v\n", w.Name(), err)
 		return 1
@@ -456,7 +456,7 @@ func runTopologySweep(stdout, stderr io.Writer, w workload.Workload, setOpts map
 			fmt.Fprintf(stderr, "dprof: %v\n", err)
 			return 2
 		}
-		inst, err := workload.BuildInstance(w, cfg)
+		inst, err := w.Build(cfg)
 		if err != nil {
 			fmt.Fprintf(stderr, "dprof: building %s on %s: %v\n", w.Name(), topo, err)
 			return 1

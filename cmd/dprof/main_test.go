@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dprof/internal/app/workload"
 )
 
 func TestRunErrors(t *testing.T) {
@@ -45,6 +47,12 @@ func TestRunErrors(t *testing.T) {
 			args:       []string{"-no-such-flag"},
 			wantCode:   2,
 			wantErrOut: []string{"flag provided but not defined"},
+		},
+		{
+			name:       "parallel-shards is not a flag",
+			args:       []string{"-workload", "falseshare", "-parallel-shards", "4"},
+			wantCode:   2,
+			wantErrOut: []string{"flag provided but not defined", "-parallel-shards"},
 		},
 		{
 			name:       "memcached rejects apache's -offered and lists declared options",
@@ -133,6 +141,52 @@ func TestRunErrors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHelpSharedOptionUsage: a workload option flag declared by several
+// workloads is described without any one workload's name, and where their
+// defaults differ the help points at -list-workloads instead of showing one
+// workload's default. An option only one workload declares keeps its
+// workload's name.
+func TestHelpSharedOptionUsage(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run(context.Background(), []string{"-h"}, &out, &errOut); code != 2 {
+		t.Fatalf("exit code = %d, want 2 (flag.ErrHelp)", code)
+	}
+	// PrintDefaults writes "  -name type" then the usage on a tab-indented
+	// line; fold each flag's lines into one.
+	usage := map[string]string{}
+	var name string
+	for _, line := range strings.Split(errOut.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			name = strings.Fields(rest)[0]
+			usage[name] = ""
+		} else if name != "" && strings.HasPrefix(line, "    \t") {
+			usage[name] += strings.TrimSpace(line)
+		}
+	}
+	labelled := func(u string) bool {
+		for _, w := range workload.Names() {
+			if strings.HasPrefix(u, w+": ") {
+				return true
+			}
+		}
+		return false
+	}
+	for _, shared := range []string{"seed", "window-ms", "sockets", "cores-per-socket", "alloc-policy", "pinned-node"} {
+		if u, ok := usage[shared]; !ok || labelled(u) {
+			t.Errorf("-%s usage = %q, want it listed without a workload prefix", shared, u)
+		}
+	}
+	const varies = "(default varies by workload; see -list-workloads)"
+	for _, differ := range []string{"sockets", "cores-per-socket", "batch"} {
+		if u := usage[differ]; !strings.HasSuffix(u, varies) || strings.Count(u, "(default ") != 1 {
+			t.Errorf("-%s usage = %q, want no single default and a pointer to -list-workloads", differ, u)
+		}
+	}
+	if u := usage["padded"]; !strings.HasPrefix(u, "falseshare: ") {
+		t.Errorf("-padded usage = %q, want the falseshare prefix", u)
 	}
 }
 

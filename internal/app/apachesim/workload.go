@@ -30,7 +30,7 @@ func (wl) Options() []workload.Option {
 			Usage: "accept backlog override (0 = default 511; the §6.2 fix is a small cap)"},
 	}
 	opts = append(opts, workload.TopologyOptions(cache.SingleSocket(16), mem.FirstTouch)...)
-	return append(opts, workload.WindowOption(), workload.ShardOption())
+	return append(opts, workload.WindowOption())
 }
 
 func (wl) Windows(quick bool) workload.Windows {

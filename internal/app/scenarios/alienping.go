@@ -206,7 +206,7 @@ func (alienPingWL) Options() []workload.Option {
 			Usage: "alien cache capacity per (pool, home core); 1 drains on every remote free"},
 	}
 	opts = append(opts, workload.TopologyOptions(cache.SingleSocket(16), mem.FirstTouch)...)
-	return append(opts, workload.WindowOption(), workload.ShardOption())
+	return append(opts, workload.WindowOption())
 }
 
 func (alienPingWL) Windows(quick bool) workload.Windows {

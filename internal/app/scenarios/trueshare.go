@@ -236,7 +236,6 @@ func (trueShareWL) Options() []workload.Option {
 			Usage: "shared counter/lock buckets (fewer than cores = contention)"},
 		workload.SeedOption(),
 		workload.WindowOption(),
-		workload.ShardOption(),
 	}
 }
 

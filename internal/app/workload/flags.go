@@ -2,8 +2,8 @@ package workload
 
 import (
 	"flag"
-	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Flag binding for the registry: one typed flag per declared option, shared
@@ -19,39 +19,80 @@ type FlagValues struct {
 }
 
 // RegisterFlags declares one typed flag per option declared by any
-// registered workload (names are shared across workloads that declare the
-// same option; the first workload's default and usage win, which is
-// harmless because only explicitly-set flags are ever passed on). Call it
-// after all workloads have registered and before fs.Parse.
+// registered workload. Workloads that declare the same option share one
+// flag; only explicitly-set flags are ever passed on, so a flag's own
+// default never reaches a workload. Call it after all workloads have
+// registered and before fs.Parse.
 func RegisterFlags(fs *flag.FlagSet) *FlagValues {
 	fv := &FlagValues{getters: make(map[string]func() string)}
+	var order []string
+	decls := make(map[string][]declaration)
 	for _, name := range Names() {
 		w, _ := Get(name)
 		for _, o := range w.Options() {
-			if _, dup := fv.getters[o.Name]; dup {
-				continue
+			if decls[o.Name] == nil {
+				order = append(order, o.Name)
 			}
-			usage := fmt.Sprintf("%s: %s", name, o.Usage)
-			switch o.Kind {
-			case Bool:
-				def, _ := strconv.ParseBool(orKindZero(Bool, o.Default))
-				p := fs.Bool(o.Name, def, usage)
-				fv.getters[o.Name] = func() string { return strconv.FormatBool(*p) }
-			case Int:
-				def, _ := strconv.ParseInt(orKindZero(Int, o.Default), 0, 64)
-				p := fs.Int64(o.Name, def, usage)
-				fv.getters[o.Name] = func() string { return strconv.FormatInt(*p, 10) }
-			case Float:
-				def, _ := strconv.ParseFloat(orKindZero(Float, o.Default), 64)
-				p := fs.Float64(o.Name, def, usage)
-				fv.getters[o.Name] = func() string { return strconv.FormatFloat(*p, 'g', -1, 64) }
-			case Str:
-				p := fs.String(o.Name, o.Default, usage)
-				fv.getters[o.Name] = func() string { return *p }
-			}
+			decls[o.Name] = append(decls[o.Name], declaration{name, o})
+		}
+	}
+	for _, name := range order {
+		o, usage := flagUsage(decls[name])
+		switch o.Kind {
+		case Bool:
+			def, _ := strconv.ParseBool(orKindZero(Bool, o.Default))
+			p := fs.Bool(o.Name, def, usage)
+			fv.getters[o.Name] = func() string { return strconv.FormatBool(*p) }
+		case Int:
+			def, _ := strconv.ParseInt(orKindZero(Int, o.Default), 0, 64)
+			p := fs.Int64(o.Name, def, usage)
+			fv.getters[o.Name] = func() string { return strconv.FormatInt(*p, 10) }
+		case Float:
+			def, _ := strconv.ParseFloat(orKindZero(Float, o.Default), 64)
+			p := fs.Float64(o.Name, def, usage)
+			fv.getters[o.Name] = func() string { return strconv.FormatFloat(*p, 'g', -1, 64) }
+		case Str:
+			p := fs.String(o.Name, o.Default, usage)
+			fv.getters[o.Name] = func() string { return *p }
 		}
 	}
 	return fv
+}
+
+// declaration is one workload's declaration of an option.
+type declaration struct {
+	workload string
+	opt      Option
+}
+
+// flagUsage merges every declaration of one option into the flag's option
+// and usage text. An option one workload declares is labelled with that
+// workload's name. A shared option is not: its usage is the common text (or
+// each workload's, labelled, where they differ), and where the defaults
+// differ the flag shows none and points at -list-workloads instead.
+func flagUsage(ds []declaration) (Option, string) {
+	o := ds[0].opt
+	if len(ds) == 1 {
+		return o, ds[0].workload + ": " + o.Usage
+	}
+	sameUsage, sameDefault := true, true
+	for _, d := range ds[1:] {
+		sameUsage = sameUsage && d.opt.Usage == o.Usage
+		sameDefault = sameDefault && d.opt.Default == o.Default
+	}
+	usage := o.Usage
+	if !sameUsage {
+		parts := make([]string, len(ds))
+		for i, d := range ds {
+			parts[i] = d.workload + ": " + d.opt.Usage
+		}
+		usage = strings.Join(parts, "; ")
+	}
+	if !sameDefault {
+		o.Default = "" // the kind's zero value, which the flag package does not print
+		usage += " (default varies by workload; see -list-workloads)"
+	}
+	return o, usage
 }
 
 // Explicit returns the canonical values of the workload option flags the

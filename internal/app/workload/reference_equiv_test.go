@@ -10,33 +10,19 @@ import (
 )
 
 // runModeSession runs one workload at its defaults (quick fidelity) with the
-// engine's optimized hot paths or the retained reference paths. shards 0 is
-// the monolithic machine; > 0 builds a sharded instance and flips every
-// part's machine.
-func runModeSession(t *testing.T, name string, windowCycles uint64, shards int, reference bool) *core.Session {
+// engine's optimized hot paths or the retained reference paths.
+func runModeSession(t *testing.T, name string, windowCycles uint64, reference bool) *core.Session {
 	t.Helper()
 	w, err := workload.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inst core.Runnable
-	if shards > 0 {
-		set := buildSharded(t, name, shards)
-		if reference {
-			for _, p := range set.Parts() {
-				p.Machine().SetReference(true)
-			}
-		}
-		inst = set
-	} else {
-		built, err := w.Build(workload.Defaults(w).WithQuick(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reference {
-			built.Machine().SetReference(true)
-		}
-		inst = built
+	inst, err := w.Build(workload.Defaults(w).WithQuick(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reference {
+		inst.Machine().SetReference(true)
 	}
 	win := w.Windows(true)
 	cfg := core.SessionConfig{
@@ -103,8 +89,8 @@ func compareModeSessions(t *testing.T, opt, ref *core.Session) {
 // optimizations (MRU fast path, armed hook dispatch, bypass-slot event
 // wheel): for every registered workload, the optimized engine must produce
 // byte-identical profiles — every view, every window snapshot, every run
-// value — to the retained reference paths, monolithic, windowed, and
-// sharded. CI runs this under -race.
+// value — to the retained reference paths, monolithic and windowed. CI runs
+// this under -race.
 func TestReferencePathEquivalence(t *testing.T) {
 	for _, name := range workload.Names() {
 		name := name
@@ -117,27 +103,18 @@ func TestReferencePathEquivalence(t *testing.T) {
 			win := w.Windows(true)
 
 			t.Run("monolithic", func(t *testing.T) {
-				opt := runModeSession(t, name, 0, 0, false)
-				ref := runModeSession(t, name, 0, 0, true)
+				opt := runModeSession(t, name, 0, false)
+				ref := runModeSession(t, name, 0, true)
 				compareModeSessions(t, opt, ref)
 			})
 			t.Run("windowed", func(t *testing.T) {
 				length := (win.Warmup + win.Measure) / 4
-				opt := runModeSession(t, name, length, 0, false)
-				ref := runModeSession(t, name, length, 0, true)
+				opt := runModeSession(t, name, length, false)
+				ref := runModeSession(t, name, length, true)
 				compareModeSessions(t, opt, ref)
 				if len(opt.Windows()) < 2 {
 					t.Errorf("windowed run produced %d windows, want >= 2", len(opt.Windows()))
 				}
-			})
-			t.Run("sharded", func(t *testing.T) {
-				k := feasibleShards(t, name)
-				if k == 0 {
-					t.Skipf("workload %s does not shard at its default shape", name)
-				}
-				opt := runModeSession(t, name, 0, k, false)
-				ref := runModeSession(t, name, 0, k, true)
-				compareModeSessions(t, opt, ref)
 			})
 		})
 	}

@@ -54,11 +54,6 @@ func ApplyTopology(cfg Config, scfg *sim.Config, mcfg *mem.Config) error {
 	if policy == mem.Pinned && (mcfg.PinnedNode < 0 || mcfg.PinnedNode >= topo.Sockets) {
 		return fmt.Errorf("workload: pinned node %d out of range [0,%d)", mcfg.PinnedNode, topo.Sockets)
 	}
-	// A sharded build sees only its domain's sockets (ApplySeed sliced the
-	// topology above); fold the globally validated pinned node onto them.
-	if cfg.shardCount > 1 && scfg.Topology.Sockets > 0 {
-		mcfg.PinnedNode %= scfg.Topology.Sockets
-	}
 	return nil
 }
 

@@ -89,12 +89,6 @@ type Config struct {
 	quick bool
 	vals  map[string]string
 	decl  map[string]Option
-
-	// shardIndex/shardCount mark a config handed to one shard's Build by
-	// BuildInstance; applyShard slices the machine shape and seed from them.
-	// Zero values mean an ordinary unsharded build.
-	shardIndex int
-	shardCount int
 }
 
 // UnknownOptionError reports an option the selected workload does not
@@ -225,13 +219,6 @@ func (c Config) WithQuick(quick bool) Config {
 
 // Quick reports whether the build should trade precision for speed.
 func (c Config) Quick() bool { return c.quick }
-
-// withShard returns a copy marked as shard d of k, for BuildInstance's
-// per-part builds.
-func (c Config) withShard(d, k int) Config {
-	c.shardIndex, c.shardCount = d, k
-	return c
-}
 
 // Declared reports whether the workload declares an option, so shared
 // helpers can probe before reading (the typed getters panic on undeclared
@@ -400,8 +387,12 @@ func Build(name string, vals map[string]string) (core.Runnable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BuildInstance(w, cfg)
+	return w.Build(cfg)
 }
+
+// BuildInstance constructs an instance of w from validated options; it is
+// w.Build(cfg).
+func BuildInstance(w Workload, cfg Config) (core.Runnable, error) { return w.Build(cfg) }
 
 // MustBuild is Build for callers whose workload names and options are
 // compile-time constants (experiments, benchmarks); errors panic.

@@ -58,47 +58,17 @@ type Profiler struct {
 	pending [][]pendingSample
 	pipe    *windowPipeline
 
-	// env, when non-nil, supplies the machine-derived view parameters for a
-	// profiler with no machine (M == nil): the merged profiler of a sharded
-	// run, whose samples came from several machines. View builders read the
-	// environment through the accessors below, never M directly.
-	env *profileEnv
-
 	traceCache map[*TypeDesc][]*PathTrace
 }
 
-// profileEnv is the machine-shaped context a merged profiler renders views
-// against: the global cache configuration (machine-total capacities), the
-// global topology, and the combined per-socket occupancy.
-type profileEnv struct {
-	cacheCfg  cache.Config
-	topo      cache.Topology
-	occupancy []cache.SocketUsage
-}
-
 // CacheConfig returns the cache configuration views should use.
-func (p *Profiler) CacheConfig() cache.Config {
-	if p.env != nil {
-		return p.env.cacheCfg
-	}
-	return p.M.Hier.Config()
-}
+func (p *Profiler) CacheConfig() cache.Config { return p.M.Hier.Config() }
 
-// Topology returns the (global) topology views should use.
-func (p *Profiler) Topology() cache.Topology {
-	if p.env != nil {
-		return p.env.topo
-	}
-	return p.M.Topology()
-}
+// Topology returns the topology views should use.
+func (p *Profiler) Topology() cache.Topology { return p.M.Topology() }
 
 // SocketOccupancy returns per-socket cache occupancy for the working set.
-func (p *Profiler) SocketOccupancy() []cache.SocketUsage {
-	if p.env != nil {
-		return p.env.occupancy
-	}
-	return p.M.Hier.SocketOccupancy()
-}
+func (p *Profiler) SocketOccupancy() []cache.SocketUsage { return p.M.Hier.SocketOccupancy() }
 
 // SampleTable returns the cumulative sample table. Callers reading it after
 // driving the machine directly must Sync first (the ProfileSource view

@@ -122,11 +122,6 @@ type Session struct {
 	target *mem.Type
 	result RunResult
 	ran    bool
-
-	// sh is set when the instance is a ShardSet: the session then runs one
-	// simulation per part and merges their profiles deterministically
-	// (shardrun.go, shardmerge.go).
-	sh *shardedSession
 }
 
 // NewSession validates the configuration, attaches DProf (and the requested
@@ -146,13 +141,6 @@ func NewSession(w Runnable, cfg SessionConfig) (*Session, error) {
 			return nil, &UnknownViewError{Name: v}
 		}
 		s.views[v] = true
-	}
-
-	if set, ok := w.(*ShardSet); ok {
-		if err := s.attachSharded(set, cfg); err != nil {
-			return nil, err
-		}
-		return s, nil
 	}
 
 	alloc := w.Alloc()
@@ -197,10 +185,6 @@ func (s *Session) Run() RunResult {
 		panic("core: Session.Run called twice")
 	}
 	s.ran = true
-	if s.sh != nil {
-		s.result = s.runSharded()
-		return s.result
-	}
 	windowed := s.cfg.WindowCycles > 0 || s.cfg.OnWindow != nil
 	if windowed {
 		s.p.StartWindows(s.cfg.WindowCycles, s.cfg.Views, s.p.Desc(s.target), s.cfg.OnWindow)
@@ -217,44 +201,20 @@ func (s *Session) Run() RunResult {
 // Windows returns the window snapshots of a windowed session (nil before
 // Run, and for single-window sessions configured without an OnWindow sink).
 func (s *Session) Windows() []*WindowSnapshot {
-	if s.sh != nil {
-		return s.sh.windows
-	}
 	return s.p.Windows()
 }
 
 // Profiler exposes the attached DProf profiler (for consumers that need raw
-// views, differential analysis, or custom collection). On a sharded session
-// it is the merged global profiler (built at run end; a pre-Run call merges
-// the parts' current — typically empty — state).
-func (s *Session) Profiler() *Profiler {
-	if s.sh != nil && s.p == nil {
-		return s.sh.mergedProfiler()
-	}
-	return s.p
-}
+// views, differential analysis, or custom collection).
+func (s *Session) Profiler() *Profiler { return s.p }
 
 // Topology returns the socket layout of the machine the session profiles
-// (from the workload's build; the session itself does not choose it). For a
-// sharded session this is the unsharded global topology.
-func (s *Session) Topology() cache.Topology {
-	if s.sh != nil {
-		return s.sh.set.topo
-	}
-	return s.w.Machine().Topology()
-}
+// (from the workload's build; the session itself does not choose it).
+func (s *Session) Topology() cache.Topology { return s.w.Machine().Topology() }
 
 // Target returns the resolved dataflow/pathtrace target type's descriptor
-// (nil when no target was configured). The session resolves the live
-// allocator type against whatever profiler currently serves the session —
-// on sharded sessions that is the merged profiler, whose descriptors are
-// canonical across shards.
-func (s *Session) Target() *TypeDesc {
-	if s.target == nil {
-		return nil
-	}
-	return s.Profiler().Desc(s.target)
-}
+// (nil when no target was configured).
+func (s *Session) Target() *TypeDesc { return s.p.Desc(s.target) }
 
 // Result returns the workload's run result (zero value before Run).
 func (s *Session) Result() RunResult { return s.result }
@@ -310,11 +270,7 @@ func (s *Session) WriteReport(out io.Writer) {
 	}
 	if s.cfg.LockStat {
 		fmt.Fprintln(out, "\n== lock-stat baseline ==")
-		locks, cores := s.w.Locks(), s.w.Machine().NumCores()
-		if s.sh != nil {
-			locks, cores = s.sh.mergedLocks(), s.sh.set.topo.NumCores()
-		}
-		rep := locks.BuildReport(s.cfg.Measure * uint64(cores))
+		rep := s.w.Locks().BuildReport(s.cfg.Measure * uint64(s.w.Machine().NumCores()))
 		fmt.Fprintln(out, rep.String())
 	}
 	if s.op != nil {

@@ -41,14 +41,10 @@ type Checkpoint struct {
 // Warmup runs the session's warmup phase and captures a checkpoint at the
 // boundary. It replaces Run: windowing starts before the warmup exactly as
 // the cold path does, and the session is consumed (Run after Warmup
-// panics). Sharded sessions and workloads that don't implement WarmRunnable
-// run cold.
+// panics). Workloads that don't implement WarmRunnable run cold.
 func (s *Session) Warmup() (*Checkpoint, error) {
 	if s.ran {
 		return nil, errors.New("core: Session.Warmup after the session already ran")
-	}
-	if s.sh != nil {
-		return nil, errors.New("core: warm start is not supported on sharded sessions")
 	}
 	wr, ok := s.w.(WarmRunnable)
 	if !ok {

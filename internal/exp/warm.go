@@ -133,8 +133,8 @@ func (rc RunCfg) session(name string, opts map[string]string, scfg core.SessionC
 		s := mustSession(build(name, opts), scfg)
 		cp, err := s.Warmup()
 		if err != nil {
-			// Workload can't split its run (or the session is sharded):
-			// remember that and serve every call cold.
+			// Workload can't split its run: remember that and serve every
+			// call cold.
 			e.cold = true
 		} else {
 			e.sess, e.cp = s, cp

@@ -1,8 +1,8 @@
 // Package pprofout serializes DProf profiles as gzipped pprof protobufs
 // (the profile.proto format), so any profile the model can represent — a
-// simulator session, a merged shard run, an ingested perf.data capture, or
-// a saved ProfileDocument — opens in `go tool pprof`, flamegraph viewers,
-// and speedscope.
+// simulator session, an ingested perf.data capture, or a saved
+// ProfileDocument — opens in `go tool pprof`, flamegraph viewers, and
+// speedscope.
 //
 // DProf is data-centric where pprof is code-centric, so the export leans on
 // pprof's stack mechanism to carry both: each sample's leaf frame is the

@@ -43,7 +43,7 @@ type ckptEntry struct {
 	mu    sync.Mutex
 	key   string
 	cp    *core.Checkpoint // nil until captured
-	cold  bool             // Warmup refused (sharded, non-warm workload): stop retrying
+	cold  bool             // Warmup refused (non-warm workload): stop retrying
 	bytes int64
 	el    *list.Element // pool LRU position; nil once evicted
 }
@@ -130,10 +130,10 @@ func (p *ckptPool) statsMap() map[string]any {
 
 // runProfileWarm serves a profile request from the checkpoint pool: capture
 // the warmup boundary on first use of a warm address, fork the measured
-// phase from it on every use. handled=false means the configuration cannot
-// warm-start (sharded sessions, workloads without the warm contract) and the
-// caller must run the cold path; the refusal is remembered so later requests
-// skip straight to cold without re-building a session.
+// phase from it on every use. handled=false means the workload cannot
+// warm-start (it lacks the warm contract) and the caller must run the cold
+// path; the refusal is remembered so later requests skip straight to cold
+// without re-building a session.
 func (s *Server) runProfileWarm(k profileKey) (body []byte, handled bool, err error) {
 	e := s.ckpts.entry(k.warmAddress())
 	e.mu.Lock()

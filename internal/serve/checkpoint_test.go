@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"dprof/internal/app/workload"
+	"dprof/internal/core"
 )
 
 // warmReqs vary only the measured length (and one adds windowing), so on a
@@ -112,13 +115,37 @@ func TestCheckpointPoolEviction(t *testing.T) {
 	}
 }
 
-// TestProfileShardedRunsCold: sharded sessions cannot warm-start; the pool
-// remembers the refusal and every request takes the cold path untouched.
-func TestProfileShardedRunsCold(t *testing.T) {
+// coldOnlyWorkload wraps the falseshare workload so its instances hide
+// RunWarmup: they are plain core.Runnables without the warm-start contract,
+// so Session.Warmup refuses them.
+type coldOnlyWorkload struct{ workload.Workload }
+
+func (coldOnlyWorkload) Name() string { return "coldonly" }
+
+func (w coldOnlyWorkload) Build(cfg workload.Config) (core.Runnable, error) {
+	inst, err := w.Workload.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ core.Runnable }{inst}, nil
+}
+
+func init() {
+	fs, err := workload.Lookup("falseshare")
+	if err != nil {
+		panic(err)
+	}
+	workload.Register(coldOnlyWorkload{fs})
+}
+
+// TestProfileNonWarmWorkloadRunsCold: a workload without the warm-start
+// contract cannot warm-start; the pool remembers the refusal and every
+// request takes the cold path untouched.
+func TestProfileNonWarmWorkloadRunsCold(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for _, req := range []string{
-		`{"workload":"falseshare","views":["dataprofile"],"options":{"parallel-shards":"2"},"measure_ms":1,"quick":true}`,
-		`{"workload":"falseshare","views":["dataprofile"],"options":{"parallel-shards":"2"},"measure_ms":2,"quick":true}`,
+		`{"workload":"coldonly","views":["dataprofile"],"measure_ms":1,"quick":true}`,
+		`{"workload":"coldonly","views":["dataprofile"],"measure_ms":2,"quick":true}`,
 	} {
 		if resp, body := postProfile(t, ts, req); resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d for %s: %s", resp.StatusCode, req, body)
@@ -126,7 +153,7 @@ func TestProfileShardedRunsCold(t *testing.T) {
 	}
 	st := s.ckpts.statsMap()
 	if st["captures"].(uint64) != 0 || st["forks"].(uint64) != 0 {
-		t.Errorf("sharded requests touched the pool: captures=%v forks=%v", st["captures"], st["forks"])
+		t.Errorf("non-warm requests touched the pool: captures=%v forks=%v", st["captures"], st["forks"])
 	}
 	if st["entries"].(int) != 1 {
 		t.Errorf("entries = %v, want 1 (the remembered cold marker)", st["entries"])

@@ -195,7 +195,7 @@ func (s *Server) buildSession(k profileKey, onWindow func(*core.WindowSnapshot))
 	if err != nil {
 		return nil, err
 	}
-	inst, err := workload.BuildInstance(w, cfg.WithQuick(k.Quick))
+	inst, err := w.Build(cfg.WithQuick(k.Quick))
 	if err != nil {
 		return nil, &BuildError{Workload: k.Workload, Err: err}
 	}

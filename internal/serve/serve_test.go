@@ -120,6 +120,12 @@ func TestProfileErrors(t *testing.T) {
 			wantMsg:  []string{"does not accept", "offered", "padded", "seed"},
 		},
 		{
+			name:     "parallel-shards is an undeclared option",
+			body:     `{"workload":"falseshare","options":{"parallel-shards":"4"}}`,
+			wantCode: 400,
+			wantMsg:  []string{"does not accept", "parallel-shards", "padded", "seed", "window-ms"},
+		},
+		{
 			name:     "bad option value names the kind",
 			body:     `{"workload":"falseshare","options":{"padded":"maybe"}}`,
 			wantCode: 400,

@@ -10,13 +10,8 @@
 //
 // The simulation is deterministic (seeded): two runs of a workload with the
 // same seed produce identical access streams, which is what makes the
-// paper's statistical profiler reproducible here. A run is either one
-// machine dispatching its event wheel sequentially, or — for sharded
-// parallel runs — several independent machines (one per shard, each with its
-// own wheel, hierarchy, and derived seed) advancing concurrently under a
-// Group skew gate. Shards share no simulated state, so their interleaving
-// cannot affect any shard's event stream and parallel runs stay
-// bit-reproducible.
+// paper's statistical profiler reproducible here. A run is one machine
+// dispatching its event wheel sequentially.
 package sim
 
 import (
@@ -127,7 +122,7 @@ type Core struct {
 // Rand returns the core's own deterministic RNG stream, derived from the
 // machine seed and the core ID. Every source of simulated randomness draws
 // from a per-core stream, so the draw sequence of one core never depends on
-// what other cores (or other shards of a sharded run) have consumed.
+// what other cores have consumed.
 func (c *Core) Rand() *rand.Rand { return c.rng }
 
 // Now returns the core's cycle clock (its TSC).
@@ -208,11 +203,9 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// eventWheel is the scheduling state of one shard: its event heap, the
+// eventWheel is the machine's scheduling state: its event heap, the
 // sequence counter that breaks same-cycle ties, the dispatch watermark, and
-// the window-tick state. It used to live inline in Machine; it is a separate
-// type so a sharded run is visibly N independent wheels advancing under one
-// skew gate (Group), with no shared scheduling state between them.
+// the window-tick state.
 type eventWheel struct {
 	events eventHeap
 	seq    uint64
@@ -342,11 +335,6 @@ type Machine struct {
 
 	wheel eventWheel
 
-	// group, when non-nil, is the skew gate this machine advances under as
-	// one shard of a parallel run (see Group).
-	group *Group
-	shard int
-
 	accessHooks []AccessHook
 	armers      []HookArm // parallel to accessHooks
 	alwaysOn    int       // access hooks with no arming declaration
@@ -439,14 +427,6 @@ func (m *Machine) Core(i int) *Core { return m.cores[i] }
 // Ctx returns the execution context bound to core i (for direct use by
 // drivers and tests; scheduled tasks receive it as an argument).
 func (m *Machine) Ctx(i int) *Ctx { return &m.ctxs[i] }
-
-// DeriveShardSeed derives the deterministic seed for one shard of a sharded
-// run from the run's base seed. The multiplier is the 64-bit golden-ratio
-// constant, so nearby shard indices map to well-separated seeds and shard 0
-// of a sharded run never collides with the unsharded seed.
-func DeriveShardSeed(base int64, shard int) int64 {
-	return base ^ (int64(shard+1) * -0x61C8864680B583EB) // 0x9E3779B97F4A7C15
-}
 
 // Now returns the dispatch watermark: the scheduled time of the most recently
 // started task.
@@ -571,11 +551,6 @@ func (m *Machine) Pending() int { return m.wheel.pending() }
 
 // Run dispatches events in time order until the queue is empty or the next
 // event is scheduled after `until`. It returns the number of tasks run.
-//
-// When the machine is a member of a Group, each dispatch first fires any due
-// window boundaries (so a shard always reaches its window rendezvous before
-// it can park) and then waits in the group's skew gate until the dispatch
-// time is within the group's horizon of the slowest active shard.
 func (m *Machine) Run(until uint64) int {
 	n := 0
 	w := &m.wheel
@@ -584,13 +559,8 @@ func (m *Machine) Run(until uint64) int {
 		if !ok || t > until {
 			break
 		}
-		// Fire window boundaries the next event is about to cross; the gate
-		// comes after so boundary callbacks (which may block on a cross-shard
-		// rendezvous) always run before this shard can park in the gate.
+		// Fire window boundaries the next event is about to cross.
 		w.fireBoundaries(t)
-		if m.group != nil {
-			m.group.gate(m.shard, t)
-		}
 		ev := w.pop()
 		core := m.cores[ev.core]
 		if core.now < ev.t {
