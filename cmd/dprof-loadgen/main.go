@@ -13,7 +13,7 @@
 //	dprof-loadgen -targets http://localhost:7071 -n 500
 //	dprof-loadgen -targets http://a:7071,http://b:7071,http://c:7071 \
 //	              -n 2000 -concurrency 16 -keys 64 -zipf-s 1.2 \
-//	              -json BENCH_dprofd_load.json -phase multi_replica
+//	              -json load.json -phase multi_replica
 package main
 
 import (
@@ -47,7 +47,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		zipfS   = fs.Float64("zipf-s", 1.2, "Zipf skew s (> 1; larger = hotter head)")
 		zipfV   = fs.Float64("zipf-v", 1, "Zipf offset v (>= 1)")
 		seed    = fs.Int64("seed", 1, "deck + draw seed")
-		jsonOut = fs.String("json", "", "write a BENCH-style JSON artifact to this path")
+		jsonOut = fs.String("json", "", "write a JSON artifact of the run to this path")
 		phase   = fs.String("phase", "run", "phase name for the JSON artifact")
 	)
 	if err := fs.Parse(args); err != nil {

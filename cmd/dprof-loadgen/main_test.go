@@ -51,7 +51,7 @@ func TestRunEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	artifact := filepath.Join(t.TempDir(), "BENCH_dprofd_load.json")
+	artifact := filepath.Join(t.TempDir(), "load.json")
 	var out, errOut strings.Builder
 	code := run(context.Background(), []string{
 		"-targets", ts.URL,

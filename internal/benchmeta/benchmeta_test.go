@@ -10,10 +10,9 @@ import (
 
 func TestCollectReadsHarnessEnv(t *testing.T) {
 	t.Setenv("DPROF_GIT_COMMIT", "abc123")
-	t.Setenv("DPROF_PRE_PR_COMMIT", "def456")
 	t.Setenv("DPROF_WRITTEN_AT", "2026-01-02T03:04:05Z")
 	p := Collect()
-	if p.GitCommit != "abc123" || p.PrePRCommit != "def456" || p.WrittenAt != "2026-01-02T03:04:05Z" {
+	if p.GitCommit != "abc123" || p.WrittenAt != "2026-01-02T03:04:05Z" {
 		t.Errorf("Collect() = %+v", p)
 	}
 	if p.GoMaxProcs <= 0 || p.HostCPUs <= 0 {
@@ -23,7 +22,6 @@ func TestCollectReadsHarnessEnv(t *testing.T) {
 
 func TestWriteEmbedsProvenanceInline(t *testing.T) {
 	t.Setenv("DPROF_GIT_COMMIT", "abc123")
-	t.Setenv("DPROF_PRE_PR_COMMIT", "")
 	t.Setenv("DPROF_WRITTEN_AT", "")
 	art := struct {
 		Benchmark string `json:"benchmark"`
@@ -49,7 +47,7 @@ func TestWriteEmbedsProvenanceInline(t *testing.T) {
 	if got["git_commit"] != "abc123" || got["benchmark"] != "demo" {
 		t.Errorf("artifact keys wrong: %v", got)
 	}
-	for _, absent := range []string{"pre_pr_commit", "written_at", "Provenance"} {
+	for _, absent := range []string{"written_at", "Provenance"} {
 		if _, ok := got[absent]; ok {
 			t.Errorf("unexpected key %q in artifact: %v", absent, got)
 		}

@@ -270,7 +270,7 @@ func percentiles(ms []float64) Latency {
 	}
 }
 
-// Artifact is the BENCH_dprofd_load.json schema: run configuration, the
+// Artifact is what dprof-loadgen -json writes: run configuration, the
 // shared benchmeta provenance block (commit, time, host), and one Result
 // per phase (e.g. cold / warm / multi_replica).
 type Artifact struct {
@@ -299,6 +299,5 @@ func NewArtifact(cfg Config) Artifact {
 	}
 }
 
-// Write lands the artifact as indented JSON, the repo's BENCH_*.json
-// convention.
+// Write lands the artifact as indented JSON.
 func (a Artifact) Write(path string) error { return benchmeta.Write(path, a) }

@@ -3,6 +3,8 @@ package serve
 import (
 	"container/list"
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -92,7 +94,10 @@ type flightGroup struct {
 // server's, not any one request's), so a caller disconnecting mid-run
 // neither cancels the work other callers share nor loses the result for
 // the cache. Each caller waits under its own ctx. leader reports whether
-// this call launched the computation (false = deduplicated).
+// this call launched the computation (false = deduplicated). A panic in run
+// becomes the flight's error (a 500 for every waiter), carrying the panic
+// value and stack, and the flight is still cleared, so one bad simulation
+// neither kills the server nor wedges later requests for the same key.
 func (g *flightGroup) do(ctx context.Context, key string, run func() ([]byte, error)) (body []byte, err error, leader bool) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -103,11 +108,16 @@ func (g *flightGroup) do(ctx context.Context, key string, run func() ([]byte, er
 		f = &flight{done: make(chan struct{})}
 		g.m[key] = f
 		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					f.body, f.err = nil, fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+				}
+				g.mu.Lock()
+				delete(g.m, key)
+				g.mu.Unlock()
+				close(f.done)
+			}()
 			f.body, f.err = run()
-			g.mu.Lock()
-			delete(g.m, key)
-			g.mu.Unlock()
-			close(f.done)
 		}()
 	}
 	g.mu.Unlock()

@@ -3,8 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dprof/internal/app/workload"
 	"dprof/internal/core"
@@ -136,6 +140,7 @@ func init() {
 		panic(err)
 	}
 	workload.Register(coldOnlyWorkload{fs})
+	workload.Register(panickyWorkload{fs})
 }
 
 // TestProfileNonWarmWorkloadRunsCold: a workload without the warm-start
@@ -157,5 +162,64 @@ func TestProfileNonWarmWorkloadRunsCold(t *testing.T) {
 	}
 	if st["entries"].(int) != 1 {
 		t.Errorf("entries = %v, want 1 (the remembered cold marker)", st["entries"])
+	}
+}
+
+// panickyWorkload wraps the falseshare workload so its instances panic when
+// run: a simulation bug reaching the serving layer.
+type panickyWorkload struct{ workload.Workload }
+
+func (panickyWorkload) Name() string { return "panicky" }
+
+func (w panickyWorkload) Build(cfg workload.Config) (core.Runnable, error) {
+	inst, err := w.Workload.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return panickyRun{inst}, nil
+}
+
+type panickyRun struct{ core.Runnable }
+
+func (panickyRun) Run(warmup, measure uint64) core.RunResult { panic("simulated bug") }
+
+// TestProfilePanicIsServerError: a simulation that panics answers 500
+// instead of killing the server, a concurrent healthy request still
+// succeeds, and a retry of the panicking request fails the same way rather
+// than waiting on a flight that never finishes.
+func TestProfilePanicIsServerError(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const panicky = `{"workload":"panicky","views":["dataprofile"],"measure_ms":1,"quick":true}`
+	client := &http.Client{Timeout: time.Minute}
+	post := func(body string) (int, string) {
+		resp, err := client.Post(ts.URL+"/profile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0, ""
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+
+	var wg sync.WaitGroup
+	var healthy int
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		healthy, _ = post(quickProfile)
+	}()
+	for i := 0; i < 2; i++ {
+		code, body := post(panicky)
+		if code != http.StatusInternalServerError {
+			t.Errorf("panicking request %d: status %d, want 500: %s", i, code, body)
+		}
+		if !strings.Contains(body, "simulated bug") {
+			t.Errorf("panicking request %d: error body lacks the panic value: %s", i, body)
+		}
+	}
+	wg.Wait()
+	if healthy != http.StatusOK {
+		t.Errorf("concurrent falseshare request: status %d, want 200", healthy)
 	}
 }

@@ -17,7 +17,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"dprof/internal/cache"
 	"dprof/internal/sym"
@@ -343,8 +342,8 @@ type Machine struct {
 
 	// reference selects the retained pre-optimization dispatch paths: every
 	// access dispatches to every hook, and the event wheel runs pure-heap.
-	// The differential equivalence suite runs both modes and requires
-	// byte-identical output.
+	// It is the test reference: the equivalence tests run both modes and
+	// require byte-identical output.
 	reference bool
 
 	// Overhead tallies profiling costs by category; Table 6.9 reports the
@@ -356,16 +355,6 @@ type Machine struct {
 	// Order is registration order (see AddSnapshotter).
 	snapshotters []Snapshotter
 }
-
-// defaultReference, when set, makes every subsequently built Machine start in
-// reference mode (see SetReference). It exists so harnesses that build
-// machines deep inside other packages (the experiment engine) can select the
-// reference path without threading a flag through every constructor.
-var defaultReference atomic.Bool
-
-// SetDefaultReference selects the dispatch mode of machines built after the
-// call. It does not affect already-built machines.
-func SetDefaultReference(on bool) { defaultReference.Store(on) }
 
 // New builds a machine.
 func New(cfg Config) *Machine {
@@ -394,26 +383,20 @@ func New(cfg Config) *Machine {
 		m.cores[i] = &Core{ID: i, Socket: topo.SocketOf(i), hookArm: ArmNever, seed: seed, src: src, rng: rand.New(src)}
 		m.ctxs[i] = Ctx{M: m, Core: m.cores[i]}
 	}
-	if defaultReference.Load() {
-		m.SetReference(true)
-	}
 	return m
 }
 
 // SetReference switches the machine (and its hierarchy and event wheel)
 // between the optimized hot paths and the retained reference paths. Both
-// produce byte-identical simulations; reference mode exists so the
-// equivalence suite and benchmarks can prove and measure that. It is runtime
-// state, not configuration: it must never influence results.
+// produce byte-identical simulations; reference mode exists only so the
+// equivalence tests can prove that. It is runtime state, not configuration:
+// it must never influence results.
 func (m *Machine) SetReference(on bool) {
 	m.reference = on
 	m.wheel.setReference(on)
 	m.Hier.SetReference(on)
 	m.Rearm()
 }
-
-// Reference reports whether the machine runs the reference paths.
-func (m *Machine) Reference() bool { return m.reference }
 
 // NumCores returns the number of cores.
 func (m *Machine) NumCores() int { return len(m.cores) }
