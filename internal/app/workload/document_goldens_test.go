@@ -105,3 +105,81 @@ func TestDocumentsMatchPreRefactorGoldens(t *testing.T) {
 		})
 	}
 }
+
+// fullReportOptions is the full-fidelity profile the golden below locks:
+// the §6.1 memcached case study on the paper's 4-socket x 4-core machine at
+// one fixed seed with all five views: the document perfbench's
+// report-memcached profiles build, and the one `dprof -json -workload
+// memcached -sockets 4 -cores-per-socket 4 -seed 7 -views
+// dataprofile,workingset,missclass,dataflow,pathtrace` prints. The other
+// document goldens run at quick fidelity, where the §4.2 replay sees far
+// fewer objects.
+var fullReportOptions = map[string]string{"sockets": "4", "cores-per-socket": "4", "seed": "7"}
+
+// TestFullFidelityDocumentGolden locks the full-fidelity memcached 4x4
+// ProfileDocument JSON byte for byte. Regenerate deliberately with:
+//
+//	go test ./internal/app/workload -run TestFullFidelityDocumentGolden -update
+func TestFullFidelityDocumentGolden(t *testing.T) {
+	w, err := workload.Lookup("memcached")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := workload.NewConfig(w, fullReportOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := workload.CanonicalOptions(w, fullReportOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := w.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := w.Windows(false)
+	s, err := core.NewSession(inst, core.SessionConfig{
+		Profiler:     core.DefaultConfig(),
+		Views:        core.KnownViews,
+		TypeName:     w.DefaultTarget(),
+		Warmup:       win.Warmup,
+		Measure:      win.Measure,
+		WindowCycles: workload.WindowCycles(cfg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	doc, err := core.BuildProfileDocument(s, core.KnownViews, w.Name(), canon, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := docGoldenPath("memcached-4x4-full")
+	if *updateViewGoldens {
+		var pretty bytes.Buffer
+		if err := json.Indent(&pretty, got, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		pretty.WriteByte('\n')
+		if err := os.WriteFile(path, pretty.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, raw); err != nil {
+		t.Fatalf("compact golden document: %v", err)
+	}
+	if !bytes.Equal(want.Bytes(), got) {
+		t.Errorf("full-fidelity memcached 4x4 document drifted from golden:\n--- golden ---\n%s\n--- got ---\n%s", want.Bytes(), got)
+	}
+}

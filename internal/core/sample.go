@@ -145,9 +145,22 @@ func (st *SampleTable) Keys() []SampleKey {
 		}
 		// Tie-break by name, not numeric PC: PC values depend on interning
 		// order, which is not stable when experiments run concurrently.
-		return sym.Name(out[i].PC) < sym.Name(out[j].PC)
+		if pi, pj := sym.Name(out[i].PC), sym.Name(out[j].PC); pi != pj {
+			return pi < pj
+		}
+		// Keys left tied differ only in type: without this the order would
+		// follow map iteration and change from call to call.
+		return out[i].TypeName() < out[j].TypeName()
 	})
 	return out
+}
+
+// TypeName is the key's type name, "[unresolved]" when it has none.
+func (k SampleKey) TypeName() string {
+	if k.Type == nil {
+		return "[unresolved]"
+	}
+	return k.Type.Name
 }
 
 // TypeAggregate is per-type roll-up of the sample table.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +91,29 @@ func TestSampleKeysOrdered(t *testing.T) {
 	keys := st.Keys()
 	if len(keys) != 2 || sym.Name(keys[0].PC) != "hot" {
 		t.Fatalf("keys = %v", keys)
+	}
+}
+
+// TestSampleKeysTypeTieBreak: keys equal in count, offset and instruction
+// differ only in type, and must still come out in one fixed order rather
+// than map iteration order.
+func TestSampleKeysTypeTieBreak(t *testing.T) {
+	a := testAlloc()
+	udp := descOf(a.RegisterType("udp_sock", 1024, ""))
+	skb := descOf(a.RegisterType("skbuff", 256, ""))
+	st := NewSampleTable()
+	for _, typ := range []*TypeDesc{udp, nil, skb} {
+		st.Add(typ, 0x10, ev("udp_rcv", 0, cache.L1Hit, 3, false))
+	}
+	want := []string{"[unresolved]", "skbuff", "udp_sock"}
+	for i := 0; i < 50; i++ {
+		var got []string
+		for _, k := range st.Keys() {
+			got = append(got, k.TypeName())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: key types %v, want %v", i, got, want)
+		}
 	}
 }
 

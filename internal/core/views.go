@@ -206,51 +206,55 @@ func BuildWorkingSet(addrs *AddressSet, traces map[*TypeDesc][]*PathTrace, geo G
 		}
 		return rs
 	}
-	rangeCache := make(map[*TypeDesc][]offRange)
+	// Per-type ranges and type index, resolved once per type.
+	type typeRanges struct {
+		typ int32
+		rs  []offRange
+	}
+	byType := make(map[*TypeDesc]typeRanges)
+	types := newTypeIndex()
 
-	perSet := make([]map[uint64]string, geo.Sets)
+	// The census: each distinct line, owned by the first type to map it.
 	objs := addrs.Objects()
 	step := 1
 	if maxObjects > 0 && len(objs) > maxObjects {
 		step = (len(objs) + maxObjects - 1) / maxObjects
 	}
+	owners := newLineTable((len(objs) + step - 1) / step)
+	setMask := uint64(geo.Sets - 1)
 	for i := 0; i < len(objs); i += step {
 		rec := &objs[i]
 		v.SampledObjects++
-		rs, ok := rangeCache[rec.Type]
+		tr, ok := byType[rec.Type]
 		if !ok {
-			rs = rangesFor(rec.Type)
-			rangeCache[rec.Type] = rs
+			tr = typeRanges{types.of(rec.Type), rangesFor(rec.Type)}
+			byType[rec.Type] = tr
 		}
-		for _, r := range rs {
+		for _, r := range tr.rs {
 			for off := r.lo &^ (geo.LineSize - 1); off < r.hi; off += geo.LineSize {
 				line := (rec.Addr + off) / geo.LineSize
-				set := int(line) & (geo.Sets - 1)
-				if perSet[set] == nil {
-					perSet[set] = make(map[uint64]string)
-				}
-				if _, dup := perSet[set][line]; !dup {
-					perSet[set][line] = rec.Type.Name
+				if _, dup := owners.putIfAbsent(line, tr.typ); !dup {
+					v.LinesPerSet[line&setMask]++
 				}
 			}
 		}
 	}
-	var total int
-	for i, m := range perSet {
-		v.LinesPerSet[i] = len(m)
-		total += len(m)
-	}
-	v.MeanLines = float64(total) / float64(geo.Sets)
+	v.MeanLines = float64(owners.n) / float64(geo.Sets)
 
 	threshold := 2 * v.MeanLines
-	for i, m := range perSet {
-		if float64(len(m)) > threshold && len(m) > geo.Ways {
-			st := AssocSetStat{Index: i, DistinctLines: len(m), ByType: make(map[string]int)}
-			for _, name := range m {
-				st.ByType[name]++
-			}
-			v.Overloaded = append(v.Overloaded, st)
+	overloaded := make([]int32, geo.Sets) // set -> 1 + index into v.Overloaded
+	for i, n := range v.LinesPerSet {
+		if float64(n) > threshold && n > geo.Ways {
+			v.Overloaded = append(v.Overloaded, AssocSetStat{Index: i, DistinctLines: n, ByType: make(map[string]int)})
+			overloaded[i] = int32(len(v.Overloaded))
 		}
+	}
+	if len(v.Overloaded) > 0 {
+		owners.forEach(func(line uint64, typ int32) {
+			if k := overloaded[line&setMask]; k > 0 {
+				v.Overloaded[k-1].ByType[types.names[typ]]++
+			}
+		})
 	}
 	sort.Slice(v.Overloaded, func(i, j int) bool {
 		if v.Overloaded[i].DistinctLines != v.Overloaded[j].DistinctLines {

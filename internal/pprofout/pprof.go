@@ -214,10 +214,7 @@ func EncodeSource(src core.ProfileSource, meta Meta) ([]byte, error) {
 
 	for _, k := range st.Keys() {
 		s := st.Get(k)
-		typeName := "[unresolved]"
-		if k.Type != nil {
-			typeName = k.Type.Name
-		}
+		typeName := k.TypeName()
 		frames := []string{dataFrame(typeName, k.Offset), sym.Name(k.PC)}
 		b.add(frames,
 			[]int64{int64(s.Count), int64(s.Misses), int64(s.LatencySum)},

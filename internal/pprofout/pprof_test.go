@@ -12,8 +12,11 @@ import (
 	"strings"
 	"testing"
 
+	"dprof/internal/cache"
 	"dprof/internal/core"
 	"dprof/internal/perfin"
+	"dprof/internal/sim"
+	"dprof/internal/sym"
 )
 
 // decodedProfile is the subset of profile.proto the tests verify, recovered
@@ -130,6 +133,31 @@ func TestEncodeSourceDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("same profile encoded to different bytes")
+	}
+}
+
+// TestEncodeSourceTwiceSameBytes encodes one live source twice: the export
+// must not depend on map iteration order, even where sample keys tie on
+// everything but their type.
+func TestEncodeSourceTwiceSameBytes(t *testing.T) {
+	types := core.NewTypeSet()
+	st := core.NewSampleTable()
+	at := &sim.AccessEvent{PC: sym.Intern("udp_rcv"), Size: 8}
+	st.Add(nil, 0x10, at)
+	for _, name := range []string{"udp_sock", "skbuff", "sock", "pkt", "dst_entry", "net_device", "tcp_sock", "rtable"} {
+		st.Add(types.Intern(name, "", 256, 0), 0x10, at)
+	}
+	src := core.NewStaticProfile(types, st, nil, nil, cache.DefaultConfig(), cache.SingleSocket(1))
+	first, err := EncodeSource(src, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := EncodeSource(src, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatal("one source encoded twice gave different bytes")
 	}
 }
 
