@@ -9,6 +9,7 @@
 //	GET  /experiments/{name}    run one experiment (?quick=1, ?stream=ndjson|sse)
 //	POST /profile               run a profiling session (JSON body; ?stream=...
 //	                            streams window snapshots live on windowed runs)
+//	POST /ingest                ingest a raw perf.data capture (cached like /profile)
 //	POST /diff                  diff two profiling sessions' data profiles
 //	GET  /object/{addr}         a stored document by content address (peer fetch)
 //	GET  /stats                 cache/store/peer + singleflight counters
@@ -48,6 +49,25 @@ import (
 	"dprof/internal/serve"
 )
 
+// Connection timeouts. ReadHeaderTimeout drops a client that connects and
+// never finishes its request headers; IdleTimeout reclaims idle keep-alive
+// connections. There is deliberately no WriteTimeout: event streams and
+// long simulations outlive any fixed write deadline.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds dprofd's HTTP server around the service handler.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	// SIGTERM is what container runtimes send on stop; both signals take
 	// the graceful path.
@@ -71,7 +91,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		peers    = fs.String("peers", "", "comma-separated replica URLs forming the consistent-hash ring")
 		ckptMax  = fs.Int64("checkpoint-pool-bytes", 0, "warm-start checkpoint pool byte budget (0 = 256 MiB default, negative = disable warm-start forking)")
 	)
-	fs.IntVar(entries, "cache", 256, "deprecated alias for -cache-entries")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -110,7 +129,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dprofd: %v\n", err)
 		return 1
 	}
-	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
+	hs := newHTTPServer(*addr, s.Handler())
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,12 +11,31 @@ import (
 )
 
 func TestRunBadFlag(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run(context.Background(), []string{"-no-such-flag"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code = %d, want 2\nstderr:\n%s", code, errOut.String())
+	// -cache was the deprecated alias of -cache-entries; it is gone.
+	for _, args := range [][]string{{"-no-such-flag"}, {"-cache", "512"}} {
+		var out, errOut strings.Builder
+		if code := run(context.Background(), args, &out, &errOut); code != 2 {
+			t.Fatalf("%v: exit code = %d, want 2\nstderr:\n%s", args, code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined") {
+			t.Errorf("%v: stderr missing flag error:\n%s", args, errOut.String())
+		}
 	}
-	if !strings.Contains(errOut.String(), "flag provided but not defined") {
-		t.Errorf("stderr missing flag error:\n%s", errOut.String())
+}
+
+// TestHTTPServerTimeouts: a client that never finishes its headers, or an
+// idle keep-alive connection, cannot hold a connection forever; responses
+// have no write deadline, so streams and long simulations are not cut off.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(":0", http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0 (unbounded)", hs.WriteTimeout)
 	}
 }
 

@@ -25,9 +25,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var req DiffRequest
 	if err := dec.Decode(&req); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]string{"error": "bad request body: " + err.Error()})
+		writeError(w, &BodyError{Err: err})
 		return
 	}
 	ka, err := s.normalize(&req.A)
@@ -45,18 +43,13 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	ensureDataProfile(&ka)
 	ensureDataProfile(&kb)
 
-	addr := "diff/" + ka.address() + "/" + kb.address()
-	if body, ok := s.cache.get(addr); ok {
-		s.hits.Add(1)
-		writeBody(w, body, "hit")
-		return
-	}
-	body, disposition, err := s.compute(r, addr, func() ([]byte, error) { return s.runDiff(ka, kb) })
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeBody(w, body, disposition)
+	// A diff never streams and is never routed; its sides run through this
+	// replica's local flights.
+	s.serveCached(w, r, cacheable{
+		addr:    "diff/" + ka.address() + "/" + kb.address(),
+		compute: func(func(string, any)) ([]byte, error) { return s.runDiff(ka, kb) },
+		write:   writeBody,
+	})
 }
 
 // ensureDataProfile adds the dataprofile view to a normalized key that
@@ -117,18 +110,8 @@ func (s *Server) runDiff(ka, kb profileKey) ([]byte, error) {
 }
 
 // profileBody returns the canonical document bytes for a normalized profile
-// key, through the same cache + singleflight path POST /profile uses.
+// key through the local flight POST /profile uses.
 func (s *Server) profileBody(k profileKey) ([]byte, error) {
-	addr := k.address()
-	if body, ok := s.cache.get(addr); ok {
-		s.hits.Add(1)
-		return body, nil
-	}
-	body, err, leader := s.flights.do(s.ctx, addr, s.cachedRun(addr, nil, func() ([]byte, error) {
-		return s.runProfile(k, nil)
-	}))
-	if !leader {
-		s.dedups.Add(1)
-	}
+	body, _, err := s.localFlight(s.ctx, k.address(), func() ([]byte, error) { return s.runProfile(k, nil) })
 	return body, err
 }

@@ -51,9 +51,7 @@ func (k ingestKey) address() string {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
 	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]string{"error": "bad request body: " + err.Error()})
+		writeError(w, &BodyError{Err: err})
 		return
 	}
 	k, err := normalizeIngest(r, raw)
@@ -61,34 +59,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	addr := k.address()
-
-	if body, ok := s.cache.get(addr); ok {
-		s.hits.Add(1)
-		s.writeNegotiated(w, r, body, "hit")
-		return
+	// Forward the capture verbatim: normalization is deterministic, so the
+	// owner derives the identical content address from it.
+	uri := "/ingest"
+	if r.URL.RawQuery != "" {
+		uri += "?" + r.URL.RawQuery
 	}
-	if owner, ok := s.routeOwner(r, addr); ok {
-		// Forward the capture verbatim: normalization is deterministic, so
-		// the owner derives the identical content address from it.
-		uri := "/ingest"
-		if r.URL.RawQuery != "" {
-			uri += "?" + r.URL.RawQuery
-		}
-		body, disposition, err := s.proxyCompute(r.Context(), owner, addr, http.MethodPost, uri, raw)
-		if err == nil {
-			w.Header().Set(replicaHeader, owner)
-			s.writeNegotiated(w, r, body, disposition)
-			return
-		}
-		s.peerFallbacks.Add(1)
-	}
-	body, disposition, err := s.compute(r, addr, func() ([]byte, error) { return s.runIngest(raw, k) })
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.writeNegotiated(w, r, body, disposition)
+	s.serveCached(w, r, cacheable{
+		addr:    k.address(),
+		compute: func(func(string, any)) ([]byte, error) { return s.runIngest(raw, k) },
+		forward: &upstream{method: http.MethodPost, uri: uri, body: raw},
+		write:   s.writeNegotiated,
+	})
 }
 
 // normalizeIngest resolves the query parameters against the capture bytes.
@@ -184,7 +166,7 @@ func (e *ExportError) Unwrap() error { return e.Err }
 // one representation; pprof is derived at the edge.
 func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, body []byte, disposition string) {
 	if !wantsPprof(r) {
-		writeBody(w, body, disposition)
+		writeBody(w, r, body, disposition)
 		return
 	}
 	doc, err := core.ParseDocument(body)

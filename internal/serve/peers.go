@@ -155,69 +155,6 @@ func (s *Server) routeOwner(r *http.Request, addr string) (string, bool) {
 	return owner, true
 }
 
-// proxyCompute forwards a computable request to the owning replica,
-// deduplicated through the same in-process flight group as local
-// computations — a burst of identical requests on a non-owner costs one
-// upstream call, and that call collapses with any concurrent local
-// compute for the same address. The upstream request runs under the
-// server's lifetime, detached from any one client; the response body
-// lands in the local LRU so repeats on this replica never leave the
-// process. Any upstream failure (network error, non-200) is returned for
-// the caller to fall back on local simulation.
-func (s *Server) proxyCompute(ctx context.Context, owner, addr, method, uri string, rawBody []byte) (body []byte, disposition string, err error) {
-	var src string
-	body, err, leader := s.flights.do(ctx, addr, func() ([]byte, error) {
-		if b, ok := s.cache.get(addr); ok {
-			s.hits.Add(1)
-			src = "hit"
-			return b, nil
-		}
-		var rd io.Reader
-		if rawBody != nil {
-			rd = bytes.NewReader(rawBody)
-		}
-		req, err := http.NewRequestWithContext(s.ctx, method, owner+uri, rd)
-		if err != nil {
-			return nil, fmt.Errorf("peer %s: %w", owner, err)
-		}
-		req.Header.Set(routedHeader, "1")
-		if rawBody != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := s.peers.client.Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("peer %s: %w", owner, err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
-		if err != nil {
-			return nil, fmt.Errorf("peer %s: %w", owner, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("peer %s: status %d: %s", owner, resp.StatusCode, bytes.TrimSpace(b))
-		}
-		b = bytes.TrimSuffix(b, []byte("\n"))
-		s.peerProxied.Add(1)
-		s.cache.put(addr, b)
-		if d := resp.Header.Get("X-DProf-Cache"); d != "" {
-			src = "proxy:" + d
-		} else {
-			src = "proxy"
-		}
-		return b, nil
-	})
-	switch {
-	case err != nil:
-		return nil, "", err
-	case !leader:
-		s.dedups.Add(1)
-		return body, "dedup", nil
-	case src != "":
-		return body, src, nil
-	}
-	return body, "proxy", nil
-}
-
 // peerObject asks the other replicas for an already-stored document —
 // LRU or disk only, never a simulation — and adopts a hit into the local
 // cache and store. It runs on the owner-side miss path, so a fleet whose
@@ -269,18 +206,10 @@ func (s *Server) fetchObject(peer, addr string) ([]byte, bool) {
 // cannot recurse or deadlock across the fleet.
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	addr := r.PathValue("addr")
-	if body, ok := s.cache.get(addr); ok {
+	if body, disposition, ok := s.stored(addr); ok {
 		s.objectsServed.Add(1)
-		writeBody(w, body, "hit")
+		writeBody(w, r, body, disposition)
 		return
-	}
-	if s.store != nil {
-		if body, ok := s.store.Get(addr); ok {
-			s.cache.put(addr, body)
-			s.objectsServed.Add(1)
-			writeBody(w, body, "disk")
-			return
-		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusNotFound)

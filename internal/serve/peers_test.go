@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -160,66 +162,113 @@ func TestFleetWideSingleflight(t *testing.T) {
 	}
 }
 
-// TestRoutedVsDirectBytes: the same request through a non-owning replica
-// and directly to the owner answers with identical wire bytes, and the
-// proxied copy warms the non-owner's LRU.
+// TestRoutedVsDirectBytes: for every routed endpoint kind, the same
+// request through a non-owning replica and directly to the owner answers
+// with identical wire bytes, only the owner does the work, and the proxied
+// copy warms the non-owner's LRU.
 func TestRoutedVsDirectBytes(t *testing.T) {
-	reps := newRing(t, 3, false)
-	seed := seedOwnedBy(t, reps, 2)
-	addr := addressOf(t, reps[0].s, seed)
-	owner, nonOwner := reps[2], reps[0]
-	if nonOwner.s.peers.owner(addr) != owner.ts.URL {
-		t.Fatal("test setup: owner mismatch")
+	capture, err := os.ReadFile(filepath.Join("..", "perfin", "testdata", "mem.perf.data"))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	post := func(ts *httptest.Server) (*http.Response, []byte) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/profile", "application/json", strings.NewReader(seedBody(seed)))
+	ingestAddr := func(t *testing.T) string {
+		k, err := normalizeIngest(httptest.NewRequest(http.MethodPost, "/ingest", nil), capture)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return resp, raw
+		return k.address()
 	}
+	tests := []struct {
+		name   string
+		method string
+		uri    string
+		body   []byte
+		addr   func(t *testing.T, s *Server) string
+	}{
+		{"profile", http.MethodPost, "/profile", []byte(seedBody(1)),
+			func(t *testing.T, s *Server) string { return addressOf(t, s, 1) }},
+		{"ingest", http.MethodPost, "/ingest", capture,
+			func(t *testing.T, _ *Server) string { return ingestAddr(t) }},
+		{"experiment", http.MethodGet, "/experiments/falseshare?quick=1", nil,
+			func(*testing.T, *Server) string { return "experiment/falseshare/quick=true" }},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			reps := newRing(t, 3, false)
+			addr := tt.addr(t, reps[0].s)
+			var owner, nonOwner replica
+			for i, r := range reps {
+				if r.ts.URL == reps[0].s.peers.owner(addr) {
+					owner, nonOwner = r, reps[(i+1)%len(reps)]
+				}
+			}
+			// work counts what only the owner may do: simulate or parse.
+			work := func(r replica) int64 {
+				r.s.ingestMu.Lock()
+				defer r.s.ingestMu.Unlock()
+				return r.s.Simulations() + int64(r.s.ingestStats.FilesParsed)
+			}
+			send := func(ts *httptest.Server) (*http.Response, []byte) {
+				t.Helper()
+				var rd io.Reader
+				if tt.body != nil {
+					rd = bytes.NewReader(tt.body)
+				}
+				req, err := http.NewRequest(tt.method, ts.URL+tt.uri, rd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				raw, _ := io.ReadAll(resp.Body)
+				if resp.StatusCode != 200 {
+					t.Fatalf("status %d: %s", resp.StatusCode, raw)
+				}
+				return resp, raw
+			}
 
-	respRouted, routed := post(nonOwner.ts)
-	if respRouted.StatusCode != 200 {
-		t.Fatalf("routed status %d: %s", respRouted.StatusCode, routed)
-	}
-	if got := respRouted.Header.Get(replicaHeader); got != owner.ts.URL {
-		t.Errorf("routed response replica header = %q, want %q", got, owner.ts.URL)
-	}
-	if d := respRouted.Header.Get("X-DProf-Cache"); !strings.HasPrefix(d, "proxy") {
-		t.Errorf("routed disposition = %q, want proxy*", d)
-	}
-	if owner.s.Simulations() != 1 || nonOwner.s.Simulations() != 0 {
-		t.Errorf("simulations owner=%d nonOwner=%d, want 1/0",
-			owner.s.Simulations(), nonOwner.s.Simulations())
-	}
-	if nonOwner.s.peerProxied.Load() != 1 {
-		t.Errorf("proxied = %d, want 1", nonOwner.s.peerProxied.Load())
-	}
+			respRouted, routed := send(nonOwner.ts)
+			if got := respRouted.Header.Get(replicaHeader); got != owner.ts.URL {
+				t.Errorf("routed response replica header = %q, want %q", got, owner.ts.URL)
+			}
+			if d := respRouted.Header.Get("X-DProf-Cache"); !strings.HasPrefix(d, "proxy:") {
+				t.Errorf("routed disposition = %q, want proxy:*", d)
+			}
+			var fleet int64
+			for _, r := range reps {
+				fleet += work(r)
+			}
+			if work(owner) != 1 || fleet != 1 {
+				t.Errorf("work owner=%d fleet=%d, want 1/1", work(owner), fleet)
+			}
+			if nonOwner.s.peerProxied.Load() != 1 {
+				t.Errorf("proxied = %d, want 1", nonOwner.s.peerProxied.Load())
+			}
 
-	respDirect, direct := post(owner.ts)
-	if !bytes.Equal(routed, direct) {
-		t.Error("routed and direct responses differ")
-	}
-	if d := respDirect.Header.Get("X-DProf-Cache"); d != "hit" {
-		t.Errorf("direct repeat disposition = %q, want hit", d)
-	}
+			respDirect, direct := send(owner.ts)
+			if !bytes.Equal(routed, direct) {
+				t.Error("routed and direct responses differ")
+			}
+			if d := respDirect.Header.Get("X-DProf-Cache"); d != "hit" {
+				t.Errorf("direct repeat disposition = %q, want hit", d)
+			}
 
-	// The proxied body landed in the non-owner's LRU: a repeat there is a
-	// local hit, byte-identical, no second proxy hop.
-	respLocal, local := post(nonOwner.ts)
-	if d := respLocal.Header.Get("X-DProf-Cache"); d != "hit" {
-		t.Errorf("non-owner repeat disposition = %q, want hit", d)
-	}
-	if !bytes.Equal(routed, local) {
-		t.Error("non-owner repeat differs from routed response")
-	}
-	if nonOwner.s.peerProxied.Load() != 1 {
-		t.Error("non-owner repeat proxied again instead of serving locally")
+			// The proxied body landed in the non-owner's LRU: a repeat there
+			// is a local hit, byte-identical, no second proxy hop.
+			respLocal, local := send(nonOwner.ts)
+			if d := respLocal.Header.Get("X-DProf-Cache"); d != "hit" {
+				t.Errorf("non-owner repeat disposition = %q, want hit", d)
+			}
+			if !bytes.Equal(routed, local) {
+				t.Error("non-owner repeat differs from routed response")
+			}
+			if nonOwner.s.peerProxied.Load() != 1 {
+				t.Error("non-owner repeat proxied again instead of serving locally")
+			}
+		})
 	}
 }
 

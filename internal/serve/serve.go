@@ -25,6 +25,18 @@
 // stream every window snapshot as its boundary closes, so a watching client
 // sees the profile converge live instead of waiting for the whole run.
 //
+// Every cacheable endpoint (/profile, /ingest, /experiments/{name}, /diff)
+// parses and normalizes its request into a content address and a compute
+// function, then answers through one request path (serveCached), in this
+// order: the LRU; for a streamed request, a local flight; when another
+// replica owns the address, a forward to the owner, falling back to this
+// replica if the owner fails; otherwise a local flight. A flight's body
+// reads the LRU again, the disk store, the peers' stores, and only then
+// computes. The X-DProf-Cache header names the layer that answered: hit,
+// disk, peer, miss, dedup (joined another request's flight) or
+// proxy:<the owner's disposition>. /ingest and /diff never stream, and
+// /diff is never routed.
+//
 // Two scaling layers stack on top (see the README's "Scaling dprofd"):
 // Config.StoreDir backs the LRU with a disk content-addressed store
 // (internal/store) so finished documents survive restarts, and
@@ -47,7 +59,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	_ "dprof/internal/app/all" // register every workload
 	"dprof/internal/app/workload"
@@ -229,6 +240,7 @@ func statusFor(err error) int {
 		unsupported     *perfin.UnsupportedError
 		schemaErr       *core.SchemaVersionError
 		exportErr       *ExportError
+		bodyErr         *BodyError
 	)
 	switch {
 	case errors.As(err, &unknownWorkload), errors.As(err, &unknownExp):
@@ -237,13 +249,22 @@ func statusFor(err error) int {
 		errors.As(err, &unknownView), errors.As(err, &unknownType),
 		errors.As(err, &tooLarge), errors.As(err, &buildErr),
 		errors.As(err, &formatErr), errors.As(err, &unsupported),
-		errors.As(err, &schemaErr), errors.As(err, &exportErr):
+		errors.As(err, &schemaErr), errors.As(err, &exportErr),
+		errors.As(err, &bodyErr):
 		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
 }
+
+// BodyError reports a request body that cannot be read or decoded: the
+// client's input, not the server's fault.
+type BodyError struct{ Err error }
+
+func (e *BodyError) Error() string { return "bad request body: " + e.Err.Error() }
+
+func (e *BodyError) Unwrap() error { return e.Err }
 
 func writeError(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
@@ -258,8 +279,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // writeBody writes a finished (already-serialized) response body with its
 // cache disposition header. Bodies are canonical JSON: byte-identical for
-// byte-identical content addresses.
-func writeBody(w http.ResponseWriter, body []byte, disposition string) {
+// byte-identical content addresses. The request is unused; it gives
+// writeBody writeNegotiated's signature.
+func writeBody(w http.ResponseWriter, _ *http.Request, body []byte, disposition string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-DProf-Cache", disposition)
 	w.Write(body)
@@ -420,18 +442,14 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	// the identical content address from the identical bytes.
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]string{"error": "bad request body: " + err.Error()})
+		writeError(w, &BodyError{Err: err})
 		return
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var req ProfileRequest
 	if err := dec.Decode(&req); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(map[string]string{"error": "bad request body: " + err.Error()})
+		writeError(w, &BodyError{Err: err})
 		return
 	}
 	k, err := s.normalize(&req)
@@ -440,181 +458,25 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	addr := k.address()
-
-	st := newStreamer(w, r)
-	if body, ok := s.cache.get(addr); ok {
-		s.hits.Add(1)
-		if st != nil {
-			st.event("result", json.RawMessage(body))
-			return
-		}
-		s.writeNegotiated(w, r, body, "hit")
-		return
-	}
-	if st != nil {
-		// Streamed sessions always run where they land: live window events
-		// cannot cross a proxy hop. The flight body still reads through the
-		// disk store and the peers' stores before simulating.
-		s.streamProfile(st, r, k, addr)
-		return
-	}
-
-	if owner, ok := s.routeOwner(r, addr); ok {
-		body, disposition, err := s.proxyCompute(r.Context(), owner, addr, http.MethodPost, "/profile", raw)
-		if err == nil {
-			w.Header().Set(replicaHeader, owner)
-			s.writeNegotiated(w, r, body, disposition)
-			return
-		}
-		// The owner is dead or draining: availability beats strict
-		// ownership, so this replica simulates locally.
-		s.peerFallbacks.Add(1)
-	}
-
-	body, disposition, err := s.compute(r, addr, func() ([]byte, error) { return s.runProfile(k, nil) })
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.writeNegotiated(w, r, body, disposition)
-}
-
-// streamProfile runs a profiling session through the singleflight layer,
-// bridging window snapshots to the client as live "window" events and
-// emitting the result (or error) as the final event. Only the flight
-// leader gets live snapshots — a streaming client joining someone else's
-// in-progress run receives keep-alives and then the shared result — and
-// the simulation runs detached under the server's lifetime, so the
-// cache/dedup/disconnect semantics are identical to a plain POST /profile.
-func (s *Server) streamProfile(st *streamer, r *http.Request, k profileKey, addr string) {
-	st.event("accepted", map[string]any{"address": addr, "workload": k.Workload})
-	snaps := make(chan json.RawMessage, 8)
-	type outcome struct {
-		body []byte
-		err  error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		body, err, leader := s.flights.do(r.Context(), addr, s.cachedRun(addr, nil, func() ([]byte, error) {
+	s.serveCached(w, r, cacheable{
+		addr: addr,
+		compute: func(emit func(string, any)) ([]byte, error) {
+			if emit == nil {
+				return s.runProfile(k, nil)
+			}
 			return s.runProfile(k, func(ws *core.WindowSnapshot) {
-				raw, err := json.Marshal(ws)
-				if err != nil {
-					return
-				}
-				select {
-				case snaps <- raw:
-				default: // this handler may be gone; never block the simulation
+				// Marshalled here, on the simulating goroutine: OnWindow
+				// must not retain the snapshot's tables.
+				if raw, err := json.Marshal(ws); err == nil {
+					emit("window", json.RawMessage(raw))
 				}
 			})
-		}))
-		if !leader {
-			s.dedups.Add(1)
-		}
-		done <- outcome{body, err}
-	}()
-	for {
-		select {
-		case raw := <-snaps:
-			st.event("window", raw)
-		case out := <-done:
-			// Drain snapshots emitted before the run finished, so the
-			// stream always shows the final window before the result.
-			for {
-				select {
-				case raw := <-snaps:
-					st.event("window", raw)
-					continue
-				default:
-				}
-				break
-			}
-			if out.err != nil {
-				st.event("error", map[string]any{"error": out.err.Error(), "status": statusFor(out.err)})
-				return
-			}
-			st.event("result", json.RawMessage(out.body))
-			return
-		case <-time.After(15 * time.Second):
-			st.comment("running")
-		}
-	}
-}
-
-// compute runs a cacheable computation through the singleflight layer:
-// exactly one concurrent execution per address, the result cached inside
-// the flight (so it survives every waiter disconnecting), and a re-check of
-// the cache inside the flight closing the get→do window (a request that
-// lost the race to a just-finished flight must not relaunch the
-// simulation). The returned disposition reports what actually happened —
-// "miss" (this request launched the computation), "hit" (the in-flight
-// re-check found a just-cached body), "disk" (the body came off the local
-// store), "peer" (a peer's store had it), or "dedup" (joined another
-// request's flight). Streaming requests go through
-// streamProfile/streamExperiment instead, which add live events and
-// keep-alives on the same flight path.
-func (s *Server) compute(r *http.Request, addr string, run func() ([]byte, error)) (body []byte, disposition string, err error) {
-	var src string
-	wrapped := s.cachedRun(addr, &src, run)
-	body, err, leader := s.flights.do(r.Context(), addr, wrapped)
-	switch {
-	case err != nil:
-		return nil, "", err
-	case !leader:
-		s.dedups.Add(1)
-		return body, "dedup", nil
-	case src != "":
-		return body, src, nil
-	}
-	return body, "miss", nil
-}
-
-// cachedRun wraps a flight body with the layered read path — LRU, then the
-// disk store (promoting a hit into the LRU), then the peers' stores, then
-// the computation — and the miss/hit accounting: a miss counts a launched
-// computation, never a joined or just-missed one. A computed body lands in
-// both the LRU and the store, so it survives a restart. source (optional)
-// reports where the body came from ("hit", "disk", "peer", "" = computed);
-// the flight-completion channel orders the write before any waiter reads it.
-func (s *Server) cachedRun(addr string, source *string, run func() ([]byte, error)) func() ([]byte, error) {
-	setSrc := func(v string) {
-		if source != nil {
-			*source = v
-		}
-	}
-	return func() ([]byte, error) {
-		if body, ok := s.cache.get(addr); ok {
-			s.hits.Add(1)
-			setSrc("hit")
-			return body, nil
-		}
-		if s.store != nil {
-			if body, ok := s.store.Get(addr); ok {
-				s.cache.put(addr, body)
-				setSrc("disk")
-				return body, nil
-			}
-		}
-		if body, ok := s.peerObject(addr); ok {
-			setSrc("peer")
-			return body, nil
-		}
-		s.misses.Add(1)
-		body, err := run()
-		if err == nil {
-			s.cache.put(addr, body)
-			s.persist(addr, body)
-		}
-		return body, err
-	}
-}
-
-// persist writes a finished body through to the disk store, best-effort:
-// persistence failing must not fail the request the body answers.
-func (s *Server) persist(addr string, body []byte) {
-	if s.store == nil {
-		return
-	}
-	s.store.Put(addr, body)
+		},
+		forward:  &upstream{method: http.MethodPost, uri: "/profile", body: raw},
+		write:    s.writeNegotiated,
+		stream:   newStreamer(w, r),
+		accepted: map[string]any{"address": addr, "workload": k.Workload},
+	})
 }
 
 // --- experiments ---
@@ -653,41 +515,19 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		}
 		quick = b
 	}
-	addr := fmt.Sprintf("experiment/%s/quick=%t", name, quick)
-
-	st := newStreamer(w, r)
-	if body, ok := s.cache.get(addr); ok {
-		s.hits.Add(1)
-		if st != nil {
-			st.event("result", json.RawMessage(body))
-			return
-		}
-		writeBody(w, body, "hit")
-		return
-	}
-
-	if st != nil {
-		s.streamExperiment(st, r, name, quick, addr)
-		return
-	}
-	if owner, ok := s.routeOwner(r, addr); ok {
-		uri := fmt.Sprintf("/experiments/%s?quick=%t", name, quick)
-		body, disposition, err := s.proxyCompute(r.Context(), owner, addr, http.MethodGet, uri, nil)
-		if err == nil {
-			w.Header().Set(replicaHeader, owner)
-			writeBody(w, body, disposition)
-			return
-		}
-		s.peerFallbacks.Add(1)
-	}
-	body, disposition, err := s.compute(r, addr, func() ([]byte, error) {
-		return s.runExperiment(s.ctx, name, quick, nil)
+	s.serveCached(w, r, cacheable{
+		addr: fmt.Sprintf("experiment/%s/quick=%t", name, quick),
+		compute: func(emit func(string, any)) ([]byte, error) {
+			var progress func(exp.Event)
+			if emit != nil {
+				progress = func(ev exp.Event) { emit(kindName(ev.Kind), eventPayload(ev)) }
+			}
+			return s.runExperiment(s.ctx, name, quick, progress)
+		},
+		forward: &upstream{method: http.MethodGet, uri: fmt.Sprintf("/experiments/%s?quick=%t", name, quick)},
+		write:   writeBody,
+		stream:  newStreamer(w, r),
 	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeBody(w, body, disposition)
 }
 
 // runExperiment executes one experiment on the engine, under the worker
@@ -706,63 +546,6 @@ func (s *Server) runExperiment(ctx context.Context, name string, quick bool, pro
 		return nil, err
 	}
 	return marshalExperiment(res, quick)
-}
-
-// streamExperiment runs an experiment through the same singleflight layer
-// as plain requests, bridging engine events to the client as NDJSON/SSE and
-// emitting the result (or error) as the final event. Only the flight leader
-// gets live progress events — a streaming client that joins someone else's
-// in-progress run receives keep-alives and then the shared result — and the
-// simulation itself runs detached under the server's lifetime, so the
-// cache/dedup/disconnect semantics are identical to POST /profile.
-func (s *Server) streamExperiment(st *streamer, r *http.Request, name string, quick bool, addr string) {
-	events := make(chan exp.Event, 8)
-	type outcome struct {
-		body []byte
-		err  error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		body, err, leader := s.flights.do(r.Context(), addr, s.cachedRun(addr, nil, func() ([]byte, error) {
-			return s.runExperiment(s.ctx, name, quick, func(ev exp.Event) {
-				select {
-				case events <- ev:
-				default: // this handler may be gone; never block the engine
-				}
-			})
-		}))
-		if !leader {
-			s.dedups.Add(1)
-		}
-		done <- outcome{body, err}
-	}()
-	for {
-		select {
-		case ev := <-events:
-			st.event(kindName(ev.Kind), eventPayload(ev))
-		case out := <-done:
-			// Drain events the engine emitted before finishing, so the
-			// stream always shows the terminal event before the result.
-			for {
-				select {
-				case ev := <-events:
-					st.event(kindName(ev.Kind), eventPayload(ev))
-					continue
-				default:
-				}
-				break
-			}
-			if out.err != nil {
-				st.event("error", map[string]any{"error": out.err.Error(), "status": statusFor(out.err)})
-				return
-			}
-			st.event("result", json.RawMessage(out.body))
-			return
-		case <-time.After(15 * time.Second):
-			// Keep-alive for proxies while a long experiment runs.
-			st.comment("running")
-		}
-	}
 }
 
 // eventPayload projects an engine event into its wire form.

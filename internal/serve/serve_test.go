@@ -453,6 +453,64 @@ func TestProfileStreamSSE(t *testing.T) {
 	}
 }
 
+// TestStreamedHitIsResultOnly: a streamed repeat of a cached address emits
+// exactly one event, the result, whose data is the plain response body.
+func TestStreamedHitIsResultOnly(t *testing.T) {
+	tests := []struct{ name, method, uri, body string }{
+		{"profile", http.MethodPost, "/profile", quickProfile},
+		{"experiment", http.MethodGet, "/experiments/falseshare?quick=1", ""},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			send := func(query string) []byte {
+				t.Helper()
+				req, err := http.NewRequest(tt.method, ts.URL+tt.uri+query, strings.NewReader(tt.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				raw, _ := io.ReadAll(resp.Body)
+				if resp.StatusCode != 200 {
+					t.Fatalf("status %d: %s", resp.StatusCode, raw)
+				}
+				return raw
+			}
+			sep := "?"
+			if strings.Contains(tt.uri, "?") {
+				sep = "&"
+			}
+			plain := send("")
+			streamed := send(sep + "stream=ndjson")
+
+			lines := strings.Split(strings.TrimSuffix(string(streamed), "\n"), "\n")
+			if len(lines) != 1 {
+				t.Fatalf("streamed hit emitted %d lines, want 1:\n%s", len(lines), streamed)
+			}
+			var ev struct {
+				Event string          `json:"event"`
+				Data  json.RawMessage `json:"data"`
+			}
+			if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Event != "result" {
+				t.Errorf("streamed hit event = %q, want result", ev.Event)
+			}
+			if !bytes.Equal(ev.Data, bytes.TrimSuffix(plain, []byte("\n"))) {
+				t.Error("streamed hit data differs from the plain body")
+			}
+			if n := s.Simulations(); n != 1 {
+				t.Errorf("simulations = %d, want 1", n)
+			}
+		})
+	}
+}
+
 // TestShutdownFailsFast: a request waiting for a worker slot returns 503 as
 // soon as the server's lifetime context ends, instead of hanging behind a
 // simulation it will never get to run.
