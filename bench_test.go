@@ -1,6 +1,6 @@
 // Package dprof_test holds go test benchmarks: one testing.B benchmark per
 // table and figure in the paper's evaluation (quick configurations — run
-// cmd/dprof-bench for the full versions), plus microbenchmarks and ablation
+// dprof -experiment for the full versions), plus microbenchmarks and ablation
 // benchmarks (directory vs snoop coherence, time-merge vs pairwise path
 // construction, alien caches on the free path). The layered end-to-end
 // benchmark lives in perfbench/.

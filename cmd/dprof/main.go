@@ -5,7 +5,8 @@
 // Workloads come from the internal/app/workload registry; -list-workloads
 // prints the registered set with each workload's options. Workload-specific
 // flags (e.g. -fix, -offered) are rejected unless the selected workload
-// declares them.
+// declares them, and every flag is rejected in a mode that would ignore it
+// (-rate with -experiment, -parallel with -workload, ...).
 //
 // Usage:
 //
@@ -23,7 +24,14 @@
 //	dprof -workload falseshare -json > broken.json             # stable JSON (dprofd format)
 //	dprof -workload falseshare -padded -diff broken.json       # rank what the fix changed
 //	dprof -workload falseshare -cpuprofile cpu.pprof -memprofile heap.pprof
-//	dprof -experiment table6.1,table6.2 -parallel 2   # paper tables, via the engine
+//
+// The paper's tables and figures regenerate through the experiment engine;
+// progress streams to stderr, and each result prints in request order with
+// its machine-readable values (dprof -h lists the experiment names):
+//
+//	dprof -experiment all                        # everything, paper order
+//	dprof -experiment all -parallel 0            # ... across all cores
+//	dprof -experiment table6.1,table6.2 -quick   # a subset, reduced fidelity
 //
 // Real-hardware profiles ingest through -input and export through -pprof:
 //
@@ -81,10 +89,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		diffPath     = fs.String("diff", "", "diff this run against a saved -json profile (file = baseline A, this run = B) and print the ranked per-type deltas")
 		list         = fs.Bool("list-workloads", false, "list registered workloads and their options")
 		sweep        = fs.String("sweep-topology", "", "comma list of SOCKETSxCORES layouts (e.g. 1x16,2x8,4x4): run the workload unprofiled on each topology and compare")
-		experiment   = fs.String("experiment", "", "run paper experiments instead of a workload (name, comma list, or 'all')")
+		experiment   = fs.String("experiment", "", "run paper experiments instead of a workload: 'all' or a comma list of: "+strings.Join(exp.Names(), ", "))
 		quick        = fs.Bool("quick", false, "experiment mode: smaller workloads")
 		parallel     = fs.Int("parallel", 1, "experiment mode: experiments to run concurrently (0 = all cores)")
-		warmStart    = fs.Bool("warm-start", true, "experiment mode: checkpoint shared warmups once and fork measured phases (identical output, less simulation)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of this run to the given file (go tool pprof)")
 		memProfile   = fs.String("memprofile", "", "write a heap profile at exit to the given file (go tool pprof)")
 		inputPath    = fs.String("input", "", "ingest a perf.data file (perf mem record) instead of running a workload; views, -type, -json, -diff, and -pprof apply to the ingested profile")
@@ -97,6 +104,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "\nFor a long-running HTTP profiling service (cached, deduplicated sessions\nover the same registry), see cmd/dprofd.")
 	}
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	mode := "-workload"
+	switch {
+	case *list:
+		mode = "-list-workloads"
+	case *inputPath != "":
+		mode = "-input"
+	case *experiment != "":
+		mode = "-experiment"
+	case *sweep != "":
+		mode = "-sweep-topology"
+	}
+	// Only options the user explicitly set are passed on, so every workload
+	// sees its own defaults — and options the selected workload does not
+	// declare are rejected instead of silently ignored.
+	setOpts := optValues.Explicit(fs)
+	if ignored := ignoredFlags(fs, mode, setOpts); len(ignored) > 0 {
+		fmt.Fprintf(stderr, "dprof: %s ignores %s; it reads %s\n",
+			mode, strings.Join(ignored, ", "), strings.Join(modeUsage(mode), ", "))
 		return 2
 	}
 
@@ -142,20 +170,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return runIngest(stdout, stderr, *inputPath, *views, *typeName, *jsonOut, *diffPath, *pprofOut)
 	}
 
-	// Experiment mode delegates to the engine (same results as dprof-bench).
 	if *experiment != "" {
-		names, ok := exp.ParseNames(*experiment)
-		if !ok {
-			fmt.Fprintf(stderr, "dprof: no experiment names in %q\n", *experiment)
-			return 2
-		}
-		results, err := exp.RunAll(ctx, names, exp.Options{Quick: *quick, Workers: *parallel, WarmStart: *warmStart})
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		exp.WriteResults(stdout, results, false)
-		return 0
+		return runExperiments(ctx, stdout, stderr, *experiment, *quick, *parallel)
 	}
 
 	w, err := workload.Lookup(*workloadName)
@@ -164,10 +180,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Only options the user explicitly set are passed on, so every workload
-	// sees its own defaults — and options the selected workload does not
-	// declare are rejected instead of silently ignored.
-	setOpts := optValues.Explicit(fs)
 	if *sweep != "" {
 		return runTopologySweep(stdout, stderr, w, setOpts, *sweep, *measure)
 	}
@@ -251,6 +263,86 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if !writePprof(stderr, *pprofOut, s.Profiler(), "dprof: workload "+w.Name()) {
 		return 1
 	}
+	return 0
+}
+
+// modeFlags are the flags each mode reads, keyed by the flag that selects
+// the mode (a plain workload run is the default). -cpuprofile and
+// -memprofile apply in every mode. Workload option flags (-fix, -seed, ...)
+// apply wherever a workload runs and are checked against the selected
+// workload by workload.NewConfig, except that a topology sweep sets
+// -sockets and -cores-per-socket itself.
+var modeFlags = map[string][]string{
+	"-workload":       {"workload", "views", "type", "sets", "rate", "measure-ms", "lockstat", "oprofile", "json", "diff", "pprof"},
+	"-sweep-topology": {"workload", "sweep-topology", "measure-ms"},
+	"-experiment":     {"experiment", "quick", "parallel"},
+	"-input":          {"input", "views", "type", "json", "diff", "pprof"},
+	"-list-workloads": {"list-workloads"},
+}
+
+// ignoredFlags names, in flag order, every explicitly set flag the mode
+// would not read, so a flag the user typed never silently has no effect.
+func ignoredFlags(fs *flag.FlagSet, mode string, setOpts map[string]string) []string {
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		_, isOpt := setOpts[f.Name]
+		switch {
+		case f.Name == "cpuprofile" || f.Name == "memprofile":
+		case slices.Contains(modeFlags[mode], f.Name):
+		case isOpt && mode == "-workload":
+		case isOpt && mode == "-sweep-topology" && f.Name != "sockets" && f.Name != "cores-per-socket":
+		default:
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	return ignored
+}
+
+// modeUsage lists the flags a mode reads, for the ignored-flag error.
+func modeUsage(mode string) []string {
+	var out []string
+	for _, f := range modeFlags[mode] {
+		out = append(out, "-"+f)
+	}
+	out = append(out, "-cpuprofile", "-memprofile")
+	switch mode {
+	case "-workload":
+		out = append(out, "the workload's options (see -list-workloads)")
+	case "-sweep-topology":
+		out = append(out, "the workload's options other than -sockets and -cores-per-socket")
+	}
+	return out
+}
+
+// runExperiments regenerates paper tables and figures through the
+// experiment engine. Progress streams to stderr as experiments start and
+// finish; results print to stdout in request order, whatever -parallel is.
+func runExperiments(ctx context.Context, stdout, stderr io.Writer, arg string, quick bool, workers int) int {
+	names, ok := exp.ParseNames(arg)
+	if !ok {
+		fmt.Fprintf(stderr, "dprof: no experiment names in %q\n", arg)
+		return 2
+	}
+	results, err := exp.RunAll(ctx, names, exp.Options{
+		Quick:     quick,
+		Workers:   workers,
+		WarmStart: true,
+		Progress: func(ev exp.Event) {
+			switch ev.Kind {
+			case exp.EventStarted:
+				fmt.Fprintf(stderr, "[%d/%d] %s: running...\n", ev.Index+1, ev.Total, ev.Name)
+			case exp.EventFinished:
+				fmt.Fprintf(stderr, "[%d/%d] %s: done in %v\n", ev.Index+1, ev.Total, ev.Name, ev.Elapsed.Round(time.Millisecond))
+			case exp.EventFailed:
+				fmt.Fprintf(stderr, "[%d/%d] %s: FAILED: %v\n", ev.Index+1, ev.Total, ev.Name, ev.Err)
+			}
+		},
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	exp.WriteResults(stdout, results)
 	return 0
 }
 

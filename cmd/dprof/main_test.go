@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dprof/internal/app/workload"
+	"dprof/internal/exp"
 )
 
 func TestRunErrors(t *testing.T) {
@@ -41,6 +42,42 @@ func TestRunErrors(t *testing.T) {
 			args:       []string{"-experiment", "table9.9"},
 			wantCode:   1,
 			wantErrOut: []string{"unknown experiment", "table9.9", "table6.1"},
+		},
+		{
+			name:       "experiment mode rejects the workload flags it would ignore",
+			args:       []string{"-experiment", "table6.1", "-quick", "-rate", "25", "-views", "missclass", "-fix"},
+			wantCode:   2,
+			wantErrOut: []string{"-experiment ignores -fix, -rate, -views", "-parallel"},
+		},
+		{
+			name:       "workload mode rejects the experiment flags it would ignore",
+			args:       []string{"-workload", "falseshare", "-parallel", "4", "-quick"},
+			wantCode:   2,
+			wantErrOut: []string{"-workload ignores -parallel, -quick", "-rate"},
+		},
+		{
+			name:       "a default workload run rejects -parallel too",
+			args:       []string{"-parallel", "2"},
+			wantCode:   2,
+			wantErrOut: []string{"-workload ignores -parallel"},
+		},
+		{
+			name:       "ingest mode rejects -experiment and simulation flags",
+			args:       []string{"-input", "mem.perf.data", "-experiment", "table6.1", "-rate", "25"},
+			wantCode:   2,
+			wantErrOut: []string{"-input ignores -experiment, -rate"},
+		},
+		{
+			name:       "the workload listing rejects run flags",
+			args:       []string{"-list-workloads", "-experiment", "all", "-rate", "5"},
+			wantCode:   2,
+			wantErrOut: []string{"-list-workloads ignores -experiment, -rate"},
+		},
+		{
+			name:       "topology sweep rejects the flags it overrides or ignores",
+			args:       []string{"-workload", "numaremote", "-sweep-topology", "1x16", "-sockets", "2", "-json"},
+			wantCode:   2,
+			wantErrOut: []string{"-sweep-topology ignores -json, -sockets"},
 		},
 		{
 			name:       "bad flag fails",
@@ -190,6 +227,95 @@ func TestHelpSharedOptionUsage(t *testing.T) {
 	}
 }
 
+// TestExperimentCLI covers -experiment mode end to end: listing, name
+// errors, progress on stderr and values on stdout. wantOut substrings must
+// appear on stdout in the order given, so a multi-experiment case also checks
+// that results print in request order.
+func TestExperimentCLI(t *testing.T) {
+	tests := []struct {
+		name       string
+		args       []string
+		runs       bool // runs a real experiment; skipped under -short
+		wantCode   int
+		wantOut    []string
+		wantErrOut []string
+	}{
+		{
+			name:       "list names every experiment",
+			args:       []string{"-h"},
+			wantCode:   2, // flag.ErrHelp
+			wantErrOut: exp.Names(),
+		},
+		{
+			name:       "unknown experiment fails and prints the valid set",
+			args:       []string{"-experiment", "table9.9", "-quick"},
+			wantCode:   1,
+			wantErrOut: append([]string{"unknown experiment", "table9.9"}, exp.Names()...),
+		},
+		{
+			name:       "unknown name in a comma list fails",
+			args:       []string{"-experiment", "table6.1,bogus", "-quick"},
+			wantCode:   1,
+			wantErrOut: []string{"unknown experiment", "bogus", "table6.1"},
+		},
+		{
+			name:       "bad flag fails",
+			args:       []string{"-experiment", "table6.1", "-no-such-flag"},
+			wantCode:   2,
+			wantErrOut: []string{"flag provided but not defined", "-no-such-flag"},
+		},
+		{
+			name:       "comma-only experiment list fails instead of running everything",
+			args:       []string{"-experiment", ","},
+			wantCode:   2,
+			wantErrOut: []string{"no experiment names"},
+		},
+		{
+			name:       "single experiment runs and streams progress",
+			args:       []string{"-experiment", "table6.1", "-quick"},
+			runs:       true,
+			wantCode:   0,
+			wantOut:    []string{"=== table6.1", "  top_is_size1024 "},
+			wantErrOut: []string{"[1/1] table6.1: running", "[1/1] table6.1: done"},
+		},
+		{
+			name:       "parallel subset prints results in request order",
+			args:       []string{"-experiment", "table6.3,table6.1", "-quick", "-parallel", "2"},
+			runs:       true,
+			wantCode:   0,
+			wantOut:    []string{"=== table6.3", "  top_clk_pct ", "=== table6.1", "  top_is_size1024 "},
+			wantErrOut: []string{"[1/2] table6.3: done", "[2/2] table6.1: done"},
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if tt.runs && testing.Short() {
+				t.Skip("runs a full quick experiment")
+			}
+			var out, errOut strings.Builder
+			code := run(context.Background(), tt.args, &out, &errOut)
+			if code != tt.wantCode {
+				t.Fatalf("exit code = %d, want %d\nstdout:\n%s\nstderr:\n%s",
+					code, tt.wantCode, out.String(), errOut.String())
+			}
+			rest := out.String()
+			for _, want := range tt.wantOut {
+				i := strings.Index(rest, want)
+				if i < 0 {
+					t.Errorf("stdout missing %q after the earlier wants:\n%s", want, out.String())
+					break
+				}
+				rest = rest[i+len(want):]
+			}
+			for _, want := range tt.wantErrOut {
+				if !strings.Contains(errOut.String(), want) {
+					t.Errorf("stderr missing %q:\n%s", want, errOut.String())
+				}
+			}
+		})
+	}
+}
+
 func TestListWorkloads(t *testing.T) {
 	var out, errOut strings.Builder
 	code := run(context.Background(), []string{"-list-workloads"}, &out, &errOut)
@@ -251,6 +377,8 @@ func TestRunTopologySweep(t *testing.T) {
 	}
 }
 
+// TestRunExperimentMode: one experiment prints its paper block with its
+// values on stdout.
 func TestRunExperimentMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full quick experiment")
@@ -260,8 +388,31 @@ func TestRunExperimentMode(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code %d, stderr:\n%s", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "=== table6.1") {
-		t.Errorf("experiment output missing:\n%s", out.String())
+	for _, want := range []string{"=== table6.1", "size-1024", "  top_is_size1024 "} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stdout missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestRunParallelOrderPreserved: experiments run concurrently still print
+// in request order.
+func TestRunParallelOrderPreserved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two full quick experiments")
+	}
+	var out, errOut strings.Builder
+	code := run(context.Background(), []string{"-experiment", "table6.3,table6.1", "-quick", "-parallel", "2"}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr:\n%s", code, errOut.String())
+	}
+	i3 := strings.Index(out.String(), "=== table6.3")
+	i1 := strings.Index(out.String(), "=== table6.1")
+	if i3 < 0 || i1 < 0 || i3 > i1 {
+		t.Errorf("results not in request order (table6.3 at %d, table6.1 at %d):\n%s", i3, i1, out.String())
+	}
+	if !strings.Contains(out.String(), "  top_clk_pct ") {
+		t.Errorf("table6.3 values missing:\n%s", out.String())
 	}
 }
 

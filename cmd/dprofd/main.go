@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -59,9 +60,8 @@ const (
 )
 
 // newHTTPServer builds dprofd's HTTP server around the service handler.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
+func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
-		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
@@ -129,11 +129,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dprofd: %v\n", err)
 		return 1
 	}
-	hs := newHTTPServer(*addr, s.Handler())
-
+	// Bind before announcing, so the printed address is the bound one: with
+	// -addr host:0 it carries the port the kernel chose.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		s.Shutdown()
+		fmt.Fprintf(stderr, "dprofd: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "dprofd: listening on %s\n", ln.Addr())
+	hs := newHTTPServer(s.Handler())
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(stdout, "dprofd: listening on %s\n", *addr)
+	go func() { errc <- hs.Serve(ln) }()
 
 	select {
 	case err := <-errc:

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -27,7 +30,7 @@ func TestRunBadFlag(t *testing.T) {
 // idle keep-alive connection, cannot hold a connection forever; responses
 // have no write deadline, so streams and long simulations are not cut off.
 func TestHTTPServerTimeouts(t *testing.T) {
-	hs := newHTTPServer(":0", http.NotFoundHandler())
+	hs := newHTTPServer(http.NotFoundHandler())
 	if hs.ReadHeaderTimeout <= 0 {
 		t.Errorf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
 	}
@@ -104,25 +107,60 @@ func TestRunRejectsMalformedPeer(t *testing.T) {
 }
 
 // TestRunStartsAndShutsDown drives the full lifecycle: listen on an
-// ephemeral port, then a context cancellation triggers the graceful path.
+// ephemeral port, announce the bound address, serve /healthz on it, then a
+// context cancellation triggers the graceful path.
 func TestRunStartsAndShutsDown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var out, errOut strings.Builder
+	defer cancel()
+	// run writes stdout while the test reads it; a pipe hands the lines
+	// over without a shared buffer.
+	pr, pw := io.Pipe()
+	var errOut strings.Builder
 	done := make(chan int, 1)
-	go func() { done <- run(ctx, []string{"-addr", "127.0.0.1:0"}, &out, &errOut) }()
+	go func() {
+		code := run(ctx, []string{"-addr", "127.0.0.1:0"}, pw, &errOut)
+		pw.Close()
+		done <- code
+	}()
 
-	// Give ListenAndServe a moment to bind, then shut down.
-	time.Sleep(100 * time.Millisecond)
+	stdout := bufio.NewReader(pr)
+	line, err := stdout.ReadString('\n')
+	addr, ok := strings.CutPrefix(strings.TrimSpace(line), "dprofd: listening on ")
+	if err != nil || !ok {
+		cancel()
+		go io.Copy(io.Discard, stdout)
+		code := <-done
+		t.Fatalf("first stdout line = %q (%v), want the listening address; exit %d, stderr:\n%s",
+			line, err, code, errOut.String())
+	}
+	if _, port, _ := net.SplitHostPort(addr); port == "" || port == "0" {
+		t.Fatalf("announced address %q carries no bound port", addr)
+	}
+	rest := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(stdout)
+		rest <- string(b)
+	}()
+
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz on the announced address: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz: status %d, want 200", resp.StatusCode)
+	}
+
 	cancel()
 	select {
 	case code := <-done:
 		if code != 0 {
-			t.Fatalf("exit code = %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
+			t.Fatalf("exit code = %d\nstderr:\n%s", code, errOut.String())
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not return after context cancellation")
 	}
-	if !strings.Contains(out.String(), "shutting down") {
-		t.Errorf("stdout missing shutdown message:\n%s", out.String())
+	if out := <-rest; !strings.Contains(out, "shutting down") {
+		t.Errorf("stdout missing shutdown message:\n%s", out)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -29,8 +30,8 @@ func exampleDirs(t *testing.T) []string {
 			}
 		}
 	}
-	if len(dirs) < 5 {
-		t.Fatalf("found only %d example dirs: %v", len(dirs), dirs)
+	if !slices.Contains(dirs, "quickstart") {
+		t.Fatalf("quickstart not among the example dirs: %v", dirs)
 	}
 	return dirs
 }

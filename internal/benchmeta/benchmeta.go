@@ -1,12 +1,10 @@
-// Package benchmeta is the shared provenance block for the repo's benchmark
-// outputs (perfbench's host line, dprof-loadgen -json): which commit
-// produced a measurement, when, and on what host shape. Every writer embeds
-// Provenance so the fields stay spelled identically across files, and a
-// reader comparing outputs across commits can always find the same keys.
+// Package benchmeta is the provenance block of the repo's benchmark output
+// (perfbench's host line): which commit produced a measurement, when, and on
+// what host shape, spelled the same in every run so a reader comparing
+// outputs across commits always finds the same keys.
 package benchmeta
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
 )
@@ -32,13 +30,4 @@ func Collect() Provenance {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		HostCPUs:   runtime.NumCPU(),
 	}
-}
-
-// Write lands an artifact as indented JSON with a trailing newline.
-func Write(path string, v any) error {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

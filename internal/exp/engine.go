@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -275,13 +276,13 @@ func ParseNames(arg string) (names []string, ok bool) {
 }
 
 // WriteResults renders results in request order, one paper-shaped block per
-// experiment, optionally followed by the machine-readable values.
-func WriteResults(w io.Writer, results []Result, values bool) {
+// experiment followed by its machine-readable values.
+func WriteResults(w io.Writer, results []Result) {
 	for _, r := range results {
 		fmt.Fprintf(w, "=== %s — %s\n", r.Name, r.Title)
 		fmt.Fprintln(w, strings.TrimRight(r.Text, "\n"))
-		if values {
-			fmt.Fprint(w, RenderValues(r))
+		for _, k := range slices.Sorted(maps.Keys(r.Values)) {
+			fmt.Fprintf(w, "  %-36s %14.4f\n", k, r.Values[k])
 		}
 		fmt.Fprintln(w)
 	}
@@ -295,33 +296,4 @@ func lookup(name string) (entry, bool) {
 		}
 	}
 	return entry{}, false
-}
-
-// Titles returns the registered experiments in paper order with titles,
-// rendered one per line (the -list output of dprof-bench).
-func Titles() string {
-	var b strings.Builder
-	for _, n := range Names() {
-		fmt.Fprintf(&b, "%-14s %s\n", n, Title(n))
-	}
-	return b.String()
-}
-
-// sortedKeys renders a Values map deterministically (for logs).
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RenderValues pretty-prints the named values of a result.
-func RenderValues(r Result) string {
-	var b strings.Builder
-	for _, k := range sortedKeys(r.Values) {
-		fmt.Fprintf(&b, "  %-36s %14.4f\n", k, r.Values[k])
-	}
-	return b.String()
 }
